@@ -32,7 +32,7 @@
 use crate::device_grid::DeviceGrid;
 use crate::kernels::{kernel_registers, traced_find_cell, traced_mask_range};
 use crate::linearize::{delinearize, linearize, MAX_DIM};
-use crate::result::{Ownership, Pair};
+use crate::result::{group_by_key, Ownership, Pair};
 use crate::unicomp::{adjacent_ranges, for_each_full, for_each_unicomp};
 use sim_gpu::append::AppendBuffer;
 use sim_gpu::occupancy::KernelResources;
@@ -298,19 +298,11 @@ impl CellMajorPlan {
         stats.modeled += s1.modeled_wall;
         stats.d2h_bytes += count_records.len() * 8;
 
-        let mut offsets = vec![0u32; nb + 1];
-        let mut total = 0u64;
-        for &(h, c) in &count_records {
-            offsets[h as usize + 1] = c;
-        }
-        for off in offsets.iter_mut().skip(1) {
-            total += *off as u64;
-            assert!(
-                total <= u32::MAX as u64,
-                "neighbor table exceeds u32 offsets ({total} entries)"
-            );
-            *off = total as u32;
-        }
+        let total: u64 = count_records.iter().map(|&(_, c)| c as u64).sum();
+        assert!(
+            total <= u32::MAX as u64,
+            "neighbor table exceeds u32 offsets ({total} entries)"
+        );
 
         // Pass 2: materialize the (h, neighbor) records.
         let mut entries = AppendBuffer::<(u32, u32)>::new(device.pool(), total as usize)?;
@@ -330,18 +322,16 @@ impl CellMajorPlan {
         stats.modeled += s2.modeled_wall;
         stats.d2h_bytes += fill_records.len() * 8;
 
-        // Counting scatter into CSR, then per-list sort: append order is
+        // Group the records into CSR with sorted lists: append order is
         // nondeterministic across blocks, the sorted lists are not.
-        let mut values = vec![0u32; total as usize];
-        let mut cursor: Vec<u32> = offsets[..nb].to_vec();
-        for &(h, nh) in &fill_records {
-            let c = &mut cursor[h as usize];
-            values[*c as usize] = nh;
-            *c += 1;
-        }
-        for w in offsets.windows(2) {
-            values[w[0] as usize..w[1] as usize].sort_unstable();
-        }
+        let grouped = group_by_key(nb, &fill_records, false, |&(h, nh)| (h, nh));
+        debug_assert_eq!(
+            grouped.values.len() as u64,
+            total,
+            "fill pass != count pass"
+        );
+        // Every offset fits: the total was checked against u32::MAX.
+        let offsets: Vec<u32> = grouped.offsets.iter().map(|&o| o as u32).collect();
 
         // Slot→cell map, derived from G (pure host metadata, like A).
         let g_host = grid.g.as_slice();
@@ -354,7 +344,7 @@ impl CellMajorPlan {
             unicomp,
             cell_of_slot: device.alloc_from_host(&cell_of_slot)?,
             nbr_offsets: device.alloc_from_host(&offsets)?,
-            nbr_cells: device.alloc_from_host(&values)?,
+            nbr_cells: device.alloc_from_host(&grouped.values)?,
         };
         stats.h2d_bytes = plan.cell_of_slot.size_bytes()
             + plan.nbr_offsets.size_bytes()

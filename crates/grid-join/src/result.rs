@@ -1,15 +1,21 @@
 //! Result-set representation.
 //!
 //! The paper's kernels emit `(key, value)` pairs — key = query point id,
-//! value = the point found within ε — into a device buffer, then sort by
-//! key and transfer to the host (Algorithm 1). [`Pair`] is that record;
-//! [`NeighborTable`] is the host-side CSR-style adjacency built from the
-//! sorted pairs, which is what downstream consumers (e.g. DBSCAN) use.
+//! value = the point found within ε — into a device buffer, and
+//! Algorithm 1 ends by grouping them by key. [`Pair`] is that record;
+//! [`NeighborTable`] is the host-side CSR-style adjacency the grouping
+//! produces, which is what downstream consumers (e.g. DBSCAN) use. The
+//! grouping runs on the host, on all cores, as one parallel counting sort
+//! (`group_by_key`); every key → list build in the join goes
+//! through it, the cell-major plan's hoisted neighbour-cell table
+//! included.
 //!
 //! Semantics: pairs are *directed* and **exclude self-pairs** — every
 //! unordered neighbour pair `{p, q}` with `dist(p, q) ≤ ε`, `p ≠ q`
 //! appears as both `(p, q)` and `(q, p)`. All five algorithms in this
 //! workspace produce identical tables, which the integration tests assert.
+
+use rayon::prelude::*;
 
 /// One self-join result record (matches the paper's key/value pair).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -38,44 +44,25 @@ pub struct NeighborTable {
 impl NeighborTable {
     /// Builds the table from result pairs for a dataset of `num_points`
     /// points. Pairs need not be sorted; each adjacency list ends up
-    /// sorted ascending (deterministic regardless of producer schedule).
+    /// sorted ascending, so the table does not depend on the order the
+    /// producer emitted the pairs in, nor on the host's thread count.
     ///
     /// # Panics
     ///
     /// Panics if any pair references a point id `>= num_points`.
     pub fn from_pairs(num_points: usize, pairs: &[Pair]) -> Self {
-        let mut counts = vec![0usize; num_points + 1];
-        for p in pairs {
-            assert!(
-                (p.key as usize) < num_points && (p.value as usize) < num_points,
-                "pair ({}, {}) out of range {num_points}",
-                p.key,
-                p.value
-            );
-            counts[p.key as usize + 1] += 1;
+        let mut span = sj_obs::Span::enter("table.materialize");
+        span.label("pairs", pairs.len());
+        let grouped = group_by_key(num_points, pairs, false, |p| (p.key, p.value));
+        Self {
+            offsets: grouped.offsets,
+            neighbors: grouped.values,
         }
-        for i in 1..counts.len() {
-            counts[i] += counts[i - 1];
-        }
-        let offsets = counts.clone();
-        let mut cursor = offsets.clone();
-        let mut neighbors = vec![0u32; pairs.len()];
-        for p in pairs {
-            let k = p.key as usize;
-            neighbors[cursor[k]] = p.value;
-            cursor[k] += 1;
-        }
-        for w in offsets.windows(2) {
-            neighbors[w[0]..w[1]].sort_unstable();
-        }
-        Self { offsets, neighbors }
     }
 
     /// Builds the table like [`Self::from_pairs`] while also removing
-    /// duplicate pairs, returning the duplicate count. Keys are dense
-    /// `u32` ids in `0..num_points`, so the grouping is a counting sort —
-    /// `O(n + num_points)` plus the per-neighbor-list `sort_unstable`
-    /// kept for determinism — instead of the `O(n log n)` full
+    /// duplicate pairs, returning the duplicate count: the same grouping
+    /// plus a dedup of each sorted list, instead of the `O(n log n)` full
     /// `sort_unstable` + `dedup` a caller would otherwise run first (the
     /// sharded engine's merge of multi-million-pair results).
     ///
@@ -83,47 +70,15 @@ impl NeighborTable {
     ///
     /// Panics if any pair references a point id `>= num_points`.
     pub fn from_pairs_dedup(num_points: usize, pairs: &[Pair]) -> (Self, u64) {
-        let mut counts = vec![0usize; num_points + 1];
-        for p in pairs {
-            assert!(
-                (p.key as usize) < num_points && (p.value as usize) < num_points,
-                "pair ({}, {}) out of range {num_points}",
-                p.key,
-                p.value
-            );
-            counts[p.key as usize + 1] += 1;
-        }
-        for i in 1..counts.len() {
-            counts[i] += counts[i - 1];
-        }
-        let mut cursor = counts.clone();
-        let mut neighbors = vec![0u32; pairs.len()];
-        for p in pairs {
-            let k = p.key as usize;
-            neighbors[cursor[k]] = p.value;
-            cursor[k] += 1;
-        }
-        // Sort + dedup each list in place, compacting the value array and
-        // rebuilding the offsets as we go.
-        let mut offsets = vec![0usize; num_points + 1];
-        let mut write = 0usize;
-        for k in 0..num_points {
-            let (lo, hi) = (counts[k], counts[k + 1]);
-            neighbors[lo..hi].sort_unstable();
-            let mut prev: Option<u32> = None;
-            for i in lo..hi {
-                let v = neighbors[i];
-                if prev != Some(v) {
-                    neighbors[write] = v;
-                    write += 1;
-                    prev = Some(v);
-                }
-            }
-            offsets[k + 1] = write;
-        }
-        let duplicates = (pairs.len() - write) as u64;
-        neighbors.truncate(write);
-        (Self { offsets, neighbors }, duplicates)
+        let mut span = sj_obs::Span::enter("table.materialize");
+        span.label("pairs", pairs.len());
+        let grouped = group_by_key(num_points, pairs, true, |p| (p.key, p.value));
+        span.label("duplicates", grouped.duplicates);
+        let table = Self {
+            offsets: grouped.offsets,
+            neighbors: grouped.values,
+        };
+        (table, grouped.duplicates)
     }
 
     /// Number of points the table covers.
@@ -169,6 +124,228 @@ impl NeighborTable {
     /// Checks that no point lists itself.
     pub fn is_irreflexive(&self) -> bool {
         (0..self.num_points()).all(|p| self.neighbors(p).binary_search(&(p as u32)).is_err())
+    }
+}
+
+/// Records grouped by key in CSR form: key `k`'s values are
+/// `values[offsets[k]..offsets[k + 1]]`, sorted ascending.
+pub(crate) struct Grouped {
+    pub offsets: Vec<usize>,
+    pub values: Vec<u32>,
+    /// Records removed as duplicates (zero unless dedup was asked for).
+    pub duplicates: u64,
+}
+
+/// Fewest records one grouping chunk is given: below this, another
+/// chunk's histogram and thread cost more than its share of the work.
+const MIN_CHUNK_RECORDS: usize = 1 << 15;
+
+/// Chunks [`group_by_key`] splits `records` records over: one per host
+/// thread, but each chunk gets at least [`MIN_CHUNK_RECORDS`] records
+/// and at least as many records as its histogram has keys.
+fn grouping_chunks(records: usize, num_keys: usize) -> usize {
+    let per_chunk = MIN_CHUNK_RECORDS.max(num_keys);
+    rayon::current_num_threads().min(records / per_chunk).max(1)
+}
+
+/// Groups `(key, value)` records (extracted by `key_value`) by key, for
+/// dense keys in `0..num_keys`, sorting every list and, with `dedup`,
+/// removing repeated values from it. This is the host half of
+/// Algorithm 1's "sort by key", as one parallel counting sort:
+///
+/// 1. per-chunk key histograms over contiguous chunks of the records,
+///    which also range-check every record;
+/// 2. a prefix sum of the summed histograms into the offsets;
+/// 3. a scatter of the values into their lists, split into key ranges
+///    holding about equal record counts: each worker scans all records
+///    but writes only its own keys' lists, a disjoint `split_at_mut`
+///    part of the value array;
+/// 4. in the same worker, a `sort_unstable` (and dedup) of each list.
+///
+/// Sorted lists make the output independent of record order and of the
+/// chunk count: the result is identical bit for bit on any host. Small
+/// inputs run the same steps with one chunk.
+///
+/// # Panics
+///
+/// Panics if a key or value is `>= num_keys`.
+pub(crate) fn group_by_key<T, F>(
+    num_keys: usize,
+    records: &[T],
+    dedup: bool,
+    key_value: F,
+) -> Grouped
+where
+    T: Sync,
+    F: Fn(&T) -> (u32, u32) + Sync,
+{
+    let chunks = grouping_chunks(records.len(), num_keys);
+    group_by_key_in(chunks, num_keys, records, dedup, &key_value)
+}
+
+/// [`group_by_key`] over an explicit chunk count (at least one).
+fn group_by_key_in<T, F>(
+    chunks: usize,
+    num_keys: usize,
+    records: &[T],
+    dedup: bool,
+    key_value: &F,
+) -> Grouped
+where
+    T: Sync,
+    F: Fn(&T) -> (u32, u32) + Sync,
+{
+    // Per-chunk counts are u32: keep every chunk below 2^32 records.
+    let chunks = chunks.max(records.len().div_ceil(u32::MAX as usize)).max(1);
+    let per_chunk = records.len().div_ceil(chunks);
+
+    // Step 1: per-chunk key histograms.
+    let histograms: Vec<Vec<u32>> = (0..chunks)
+        .into_par_iter()
+        .map(|c| {
+            let lo = (c * per_chunk).min(records.len());
+            let hi = (lo + per_chunk).min(records.len());
+            let mut counts = vec![0u32; num_keys];
+            for r in &records[lo..hi] {
+                let (k, v) = key_value(r);
+                assert!(
+                    (k as usize) < num_keys && (v as usize) < num_keys,
+                    "pair ({k}, {v}) out of range {num_keys}"
+                );
+                counts[k as usize] += 1;
+            }
+            counts
+        })
+        .collect();
+
+    // Step 2: offsets, the prefix sum of the summed histograms.
+    let mut offsets = vec![0usize; num_keys + 1];
+    for k in 0..num_keys {
+        let count: usize = histograms.iter().map(|h| h[k] as usize).sum();
+        offsets[k + 1] = offsets[k] + count;
+    }
+    drop(histograms);
+
+    // Key ranges of about equal record count, one per chunk.
+    let total = records.len();
+    let bounds: Vec<usize> = (0..=chunks)
+        .map(|i| {
+            if i == chunks {
+                num_keys
+            } else {
+                offsets.partition_point(|&o| o < total * i / chunks)
+            }
+        })
+        .collect();
+    let bases: Vec<usize> = bounds.iter().map(|&k| offsets[k]).collect();
+
+    // Steps 3 and 4: each key range's scatter, then its list sorts. A
+    // range owns the ends `offsets[lo + 1..=hi]` of its lists and
+    // rewrites them when dedup shortens a list.
+    let mut values = vec![0u32; total];
+    let grouper = RangeGrouper {
+        records,
+        key_value,
+        dedup,
+    };
+    grouper.run(&bounds, 0, &mut offsets[1..], &mut values);
+
+    // Dedup leaves each range's lists packed at the front of its part:
+    // close the gaps between parts.
+    let mut write = 0;
+    for (keys, &base) in bounds.windows(2).zip(&bases) {
+        if keys[0] == keys[1] {
+            continue;
+        }
+        let kept = offsets[keys[1]] - base;
+        if base != write {
+            values.copy_within(base..base + kept, write);
+            for end in &mut offsets[keys[0] + 1..=keys[1]] {
+                *end -= base - write;
+            }
+        }
+        write += kept;
+    }
+    values.truncate(write);
+    Grouped {
+        offsets,
+        values,
+        duplicates: (total - write) as u64,
+    }
+}
+
+/// Steps 3 and 4 of [`group_by_key`] over one set of records.
+struct RangeGrouper<'a, T, F> {
+    records: &'a [T],
+    key_value: &'a F,
+    dedup: bool,
+}
+
+impl<T, F> RangeGrouper<'_, T, F>
+where
+    T: Sync,
+    F: Fn(&T) -> (u32, u32) + Sync,
+{
+    /// Groups the key ranges `bounds` (range `i` is keys `bounds[i]..bounds[i + 1]`),
+    /// forking across ranges. `ends` holds the list ends of keys
+    /// `bounds[0]..bounds[last]`, `values` their slots, which start at
+    /// record offset `base`.
+    fn run(&self, bounds: &[usize], base: usize, ends: &mut [usize], values: &mut [u32]) {
+        if bounds.len() <= 2 {
+            self.range(bounds[0], base, ends, values);
+            return;
+        }
+        let mid = bounds.len() / 2;
+        let split = bounds[mid] - bounds[0];
+        let mid_base = if split == 0 { base } else { ends[split - 1] };
+        let (left_ends, right_ends) = ends.split_at_mut(split);
+        let (left_values, right_values) = values.split_at_mut(mid_base - base);
+        rayon::join(
+            || self.run(&bounds[..=mid], base, left_ends, left_values),
+            || self.run(&bounds[mid..], mid_base, right_ends, right_values),
+        );
+    }
+
+    /// Groups the keys `lo..lo + ends.len()` into `values`.
+    fn range(&self, lo: usize, base: usize, ends: &mut [usize], values: &mut [u32]) {
+        let span = ends.len();
+        if span == 0 {
+            return;
+        }
+        // Step 3: scatter this range's values, cursors relative to `base`.
+        let mut cursor = Vec::with_capacity(span);
+        cursor.push(0);
+        cursor.extend(ends[..span - 1].iter().map(|e| e - base));
+        for r in self.records {
+            let (k, v) = (self.key_value)(r);
+            let local = (k as usize).wrapping_sub(lo);
+            if local < span {
+                let c = &mut cursor[local];
+                values[*c] = v;
+                *c += 1;
+            }
+        }
+        // Step 4: sort each list; dedup packs the kept values to the front.
+        let (mut start, mut write) = (0, 0);
+        for end in ends.iter_mut() {
+            let stop = *end - base;
+            values[start..stop].sort_unstable();
+            if self.dedup {
+                let mut prev = None;
+                for i in start..stop {
+                    let v = values[i];
+                    if prev != Some(v) {
+                        values[write] = v;
+                        write += 1;
+                        prev = Some(v);
+                    }
+                }
+            } else {
+                write = stop;
+            }
+            *end = base + write;
+            start = stop;
+        }
     }
 }
 
@@ -253,6 +430,7 @@ pub fn remap_pairs(pairs: &mut [Pair], global_ids: &[u32]) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn sample_pairs() -> Vec<Pair> {
         vec![
@@ -398,5 +576,142 @@ mod tests {
         assert_eq!(t1, t2);
         sort_pairs(&mut p1);
         assert!(p1.windows(2).all(|w| w[0] <= w[1]));
+    }
+
+    /// Serial oracle: sort (then dedup), then build the CSR in one pass.
+    fn oracle(num_keys: usize, pairs: &[Pair], dedup: bool) -> (Vec<usize>, Vec<u32>, u64) {
+        let mut sorted = pairs.to_vec();
+        sorted.sort_unstable();
+        if dedup {
+            sorted.dedup();
+        }
+        let mut offsets = vec![0usize; num_keys + 1];
+        for p in &sorted {
+            offsets[p.key as usize + 1] += 1;
+        }
+        for k in 0..num_keys {
+            offsets[k + 1] += offsets[k];
+        }
+        let values = sorted.iter().map(|p| p.value).collect();
+        (offsets, values, (pairs.len() - sorted.len()) as u64)
+    }
+
+    /// SplitMix64: a seeded stream for building test inputs.
+    fn mix(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    /// A grouping input of one of six shapes: empty, one point, mostly
+    /// empty lists, one key holding ≥ 90% of the pairs, a pair count
+    /// within a few records of the one-chunk threshold, and heavy
+    /// duplication.
+    fn grouping_input(shape: u64, seed: u64) -> (usize, Vec<Pair>) {
+        let mut st = seed;
+        let mut below = |n: u64| (mix(&mut st) % n.max(1)) as u32;
+        let (num_keys, len) = match shape {
+            0 => (below(50) as usize, 0),
+            1 => (1, below(40) as usize),
+            2 => (2_000 + below(3_000) as usize, 1 + below(60) as usize),
+            3 => (64 + below(400) as usize, 500 + below(4_000) as usize),
+            4 => (
+                100 + below(900) as usize,
+                MIN_CHUNK_RECORDS - 3 + below(7) as usize,
+            ),
+            _ => (1 + below(30) as usize, below(2_000) as usize),
+        };
+        let hot = below(num_keys as u64);
+        let pairs = (0..len)
+            .map(|_| {
+                let key = match shape {
+                    3 if below(100) < 92 => hot,
+                    _ => below(num_keys as u64),
+                };
+                Pair::new(key, below(num_keys as u64))
+            })
+            .collect();
+        (num_keys, pairs)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 48, ..ProptestConfig::default() })]
+
+        #[test]
+        fn grouping_matches_serial_oracle_for_any_chunk_count(
+            shape in 0u64..6,
+            seed in 0u64..u64::MAX,
+            dedup in 0u8..2,
+        ) {
+            let (num_keys, mut pairs) = grouping_input(shape, seed);
+            let dedup = dedup == 1;
+            let (offsets, values, duplicates) = oracle(num_keys, &pairs, dedup);
+            let kv = |p: &Pair| (p.key, p.value);
+            for chunks in 1..=8 {
+                let g = group_by_key_in(chunks, num_keys, &pairs, dedup, &kv);
+                prop_assert_eq!(&g.offsets, &offsets, "offsets, {} chunks", chunks);
+                prop_assert_eq!(&g.values, &values, "values, {} chunks", chunks);
+                prop_assert_eq!(g.duplicates, duplicates, "duplicates, {} chunks", chunks);
+            }
+            // The public builders take the host's own chunk count.
+            let table = if dedup {
+                let (table, d) = NeighborTable::from_pairs_dedup(num_keys, &pairs);
+                prop_assert_eq!(d, duplicates);
+                table
+            } else {
+                NeighborTable::from_pairs(num_keys, &pairs)
+            };
+            prop_assert_eq!(&table.offsets, &offsets);
+            prop_assert_eq!(&table.neighbors, &values);
+            // Any permutation of the input gives the same table.
+            let mut st = seed ^ 0x5EED;
+            for i in (1..pairs.len()).rev() {
+                pairs.swap(i, (mix(&mut st) % (i as u64 + 1)) as usize);
+            }
+            for chunks in [1, 3, 8] {
+                let g = group_by_key_in(chunks, num_keys, &pairs, dedup, &kv);
+                prop_assert_eq!(&g.offsets, &offsets);
+                prop_assert_eq!(&g.values, &values);
+            }
+        }
+    }
+
+    #[test]
+    fn one_chunk_below_the_threshold() {
+        assert_eq!(grouping_chunks(0, 0), 1);
+        assert_eq!(grouping_chunks(MIN_CHUNK_RECORDS - 1, 10), 1);
+        // Every chunk needs as many records as its histogram has keys.
+        assert_eq!(
+            grouping_chunks(4 * MIN_CHUNK_RECORDS, 10 * MIN_CHUNK_RECORDS),
+            1
+        );
+        let threads = rayon::current_num_threads();
+        assert_eq!(grouping_chunks(2 * MIN_CHUNK_RECORDS, 10), threads.min(2));
+        assert_eq!(grouping_chunks(usize::MAX / 2, 10), threads);
+    }
+
+    #[test]
+    #[should_panic(expected = "pair (1, 9) out of range 4")]
+    fn range_check_on_a_worker_keeps_its_message() {
+        let mut pairs = vec![Pair::new(0, 1); 4_000];
+        pairs[3_999] = Pair::new(1, 9);
+        let _ = group_by_key_in(4, 4, &pairs, false, &|p: &Pair| (p.key, p.value));
+    }
+
+    #[test]
+    fn dedup_empty_ranges_and_skew() {
+        // One key holds every pair: the other key ranges are empty, and
+        // the dedup compaction must still close the gaps.
+        let mut pairs: Vec<Pair> = (0..50).map(|i| Pair::new(3, i % 7)).collect();
+        pairs.push(Pair::new(9, 1));
+        pairs.push(Pair::new(9, 1));
+        let kv = |p: &Pair| (p.key, p.value);
+        for chunks in 1..=8 {
+            let g = group_by_key_in(chunks, 10, &pairs, true, &kv);
+            let (offsets, values, d) = oracle(10, &pairs, true);
+            assert_eq!((g.offsets, g.values, g.duplicates), (offsets, values, d));
+        }
     }
 }

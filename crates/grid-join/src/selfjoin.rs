@@ -20,7 +20,9 @@
 //!
 //! The pipeline is: build the ε-grid on the host → upload → estimate the
 //! result size → batched kernel execution (UNICOMP on by default, as in
-//! the paper's best configuration) → sort pairs → neighbour table.
+//! the paper's best configuration) → group the pairs by key into the
+//! neighbour table (a parallel counting sort on the host; see
+//! [`crate::result`]).
 
 use crate::batching::{BatchingConfig, ExecOptions};
 use crate::cell_major::HotPath;
