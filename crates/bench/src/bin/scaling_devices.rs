@@ -177,7 +177,6 @@ fn main() {
                     out.table, single.table,
                     "{name}: sharded x{devices} result differs from single-device"
                 );
-                assert_eq!(out.report.duplicates_merged, 0);
                 round.push(out.report.modeled_total.as_secs_f64());
                 preludes.push(out.report.prelude_time.as_secs_f64());
                 if best[i]

@@ -8,8 +8,9 @@
 //!    mismatch).
 //! 2. **Exact-table validation**: the sharded multi-device engine must be
 //!    *pair-for-pair* identical to single-device GPU-SJ, the parallel
-//!    host join and the R-tree — and its deduplicating merge must remove
-//!    zero duplicates (the halo-ownership invariant). The per-thread
+//!    host join and the R-tree, which only holds if the shards' disjoint
+//!    ownership windows emit every directed pair exactly once (the
+//!    halo-ownership invariant; the merge does no dedup). The per-thread
 //!    kernel path (with and without UNICOMP) must likewise be
 //!    pair-for-pair identical to the default cell-major hot path.
 //!
@@ -51,11 +52,6 @@ fn main() {
         assert_eq!(
             sharded.table, single.table,
             "{}: sharded (x{devices}) != single-device GPU-SJ",
-            spec.name
-        );
-        assert_eq!(
-            sharded.report.duplicates_merged, 0,
-            "{}: sharded merge removed duplicates — ownership violated",
             spec.name
         );
         // Hot-path cross-check: `single` ran the default cell-major path;
@@ -107,7 +103,7 @@ fn main() {
         "\nAll {} Table I workloads validated: counts agree across the five algorithms,\n\
          the per-thread kernels (±UNICOMP) are pair-for-pair identical to the cell-major\n\
          hot path, and the sharded engine is pair-for-pair identical to GPU-SJ, the\n\
-         parallel host join and the R-tree (zero merge duplicates).",
+         parallel host join and the R-tree (every pair emitted by exactly one shard).",
         rows.len()
     );
 }

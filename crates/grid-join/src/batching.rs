@@ -50,10 +50,10 @@ pub struct ExecOptions {
     /// upload batch — the session that owns the residency accounts for the
     /// one-time upload instead.
     pub resident: bool,
-    /// Emit-time ownership window (shard-fused joins): kernels drop pairs
-    /// whose key falls outside `[lo, hi)` with one comparison *before* the
-    /// result-buffer reservation, instead of materializing ghost pairs for
-    /// a post-pass filter. `None` emits everything.
+    /// Emit-time ownership window (shard subplans): kernels drop pairs
+    /// whose key falls outside the owned prefix `[0, hi)` with one
+    /// comparison *before* the result-buffer reservation, so ghost-keyed
+    /// pairs are never materialized. `None` emits everything.
     pub ownership: Option<Ownership>,
 }
 

@@ -8,7 +8,7 @@
 //! restructures the join around the *cell*:
 //!
 //! 1. **Cell-major data layout** — threads read coordinates from the
-//!    grid's reordered snapshot ([`GridIndex::reordered_coords`]): a
+//!    grid's reordered snapshot ([`crate::GridIndex::reordered_coords`]): a
 //!    cell's points are one contiguous `dim`-strided scan, and original
 //!    ids are recovered through the `A` remap only when a pair is emitted.
 //! 2. **Per-cell neighbor hoisting** — [`CellMajorPlan`] runs two small
@@ -18,7 +18,7 @@
 //!    walks precomputed cell positions, cutting the search work from
 //!    `O(|D| · 3^d · log |B|)` to `O(|B| · 3^d · log |B|)`.
 //! 3. **Batched result reservation** — threads stage candidate pairs in a
-//!    small fixed local buffer ([`PairStage`]) and flush with **one**
+//!    small fixed local buffer (`PairStage`) and flush with **one**
 //!    atomic cursor reservation per batch
 //!    ([`sim_gpu::append::AppendBuffer::reserve`]) instead of one atomic
 //!    per pair.
@@ -324,7 +324,7 @@ impl CellMajorPlan {
 
         // Group the records into CSR with sorted lists: append order is
         // nondeterministic across blocks, the sorted lists are not.
-        let grouped = group_by_key(nb, &fill_records, false, |&(h, nh)| (h, nh));
+        let grouped = group_by_key(nb, &fill_records, |&(h, nh)| (h, nh));
         debug_assert_eq!(
             grouped.values.len() as u64,
             total,
@@ -380,7 +380,7 @@ pub struct CellMajorSelfJoinKernel<'a> {
     /// Number of slots in this launch.
     pub slot_count: usize,
     /// Optional emit-time ownership window: pairs whose key falls outside
-    /// `[lo, hi)` are dropped *before* staging, so a sharded subplan never
+    /// `[0, hi)` are dropped *before* staging, so a sharded subplan never
     /// materializes ghost-keyed pairs (see
     /// [`crate::kernels::SelfJoinKernel::ownership`]).
     pub ownership: Option<Ownership>,

@@ -44,18 +44,15 @@ pub fn host_self_join_parallel(data: &Dataset, grid: &GridIndex) -> NeighborTabl
     NeighborTable::from_pairs(data.len(), &out.pairs)
 }
 
-/// Parallel directed-pair scan at an explicit query radius for queries in
-/// `[offset, offset + count)` — the plan executor's `Host { parallel:
-/// true }` backend (an ownership window restricts the range to the owned
-/// prefix).
+/// Parallel directed-pair scan at an explicit query radius for the
+/// queries `[0, n)` — the plan executor's `Host { parallel: true }`
+/// backend (an ownership window restricts `n` to the owned prefix).
 pub(crate) fn host_pairs_parallel(
     data: &Dataset,
     grid: &GridIndex,
     query_epsilon: f64,
-    offset: usize,
-    count: usize,
+    n: usize,
 ) -> Vec<Pair> {
-    let n = count;
     // ~8 chunks per thread for load balance. `div_ceil` keeps the chunk
     // size ≥ 1 for any `n` (the old `n / threads*8` truncated to 0 for
     // small inputs and leaned on an arbitrary 1024 floor that serialized
@@ -66,8 +63,8 @@ pub(crate) fn host_pairs_parallel(
     (0..num_chunks)
         .into_par_iter()
         .flat_map_iter(move |ci| {
-            let lo = offset + ci * chunk;
-            let hi = (lo + chunk).min(offset + n);
+            let lo = ci * chunk;
+            let hi = (lo + chunk).min(n);
             // One scratch Vec per chunk, reused across its queries,
             // instead of a fresh allocation per query.
             let mut out = Vec::new();

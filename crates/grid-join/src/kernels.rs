@@ -224,7 +224,7 @@ pub struct SelfJoinKernel<'a> {
     /// (the query set is a permutation).
     pub cell_order: bool,
     /// Emit-time ownership window: only pairs keyed by a local id in
-    /// `[lo, hi)` are appended — one register comparison ahead of the
+    /// `[0, hi)` are appended — one register comparison ahead of the
     /// result reservation. Without UNICOMP a non-owned query thread
     /// returns immediately (every pair it could emit is ghost-keyed);
     /// with UNICOMP ghost threads still run — the parity rule may make

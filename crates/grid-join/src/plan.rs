@@ -3,10 +3,10 @@
 //!
 //! Every entry point in this workspace runs the same five conceptual
 //! stages: obtain an ε-grid index, materialize a device snapshot, estimate
-//! the result size, execute the batched kernels, and post-process the pair
-//! stream. Before this module existed each entry point hardwired its own
-//! copy of that pipeline; now they all *build* a [`JoinPlan`] and hand it
-//! to [`execute`]:
+//! the result size, execute the batched kernels, and remap the pair
+//! stream's ids. Before this module existed each entry point hardwired
+//! its own copy of that pipeline; now they all *build* a [`JoinPlan`] and
+//! hand it to [`execute`]:
 //!
 //! * [`crate::GpuSelfJoin`] — `Build`/`Prebuilt` index, device backend.
 //! * [`crate::host_self_join`] / [`crate::host_self_join_parallel`] —
@@ -14,11 +14,11 @@
 //! * `sj-shard`'s `ShardedSelfJoin` — a plan *rewrite*: the partition pass
 //!   turns one logical join into per-shard subplans (`Prebuilt` index,
 //!   `Precomputed` estimate, an [`ExecOptions::ownership`] window so the
-//!   kernels drop ghost-keyed pairs at emit time, remapped post stage),
-//!   executed on the scheduled device and merged by concatenation — the
-//!   ownership windows are disjoint, so no dedup pass is needed. The
-//!   `PerThread` ablation path keeps the classic scoped post stage
-//!   instead.
+//!   kernels drop ghost-keyed pairs at emit time, shard-local → global id
+//!   remap), executed on the scheduled device and merged by one grouping
+//!   of the concatenated pairs. Both hot paths honour the ownership
+//!   window, and the windows of different shards are disjoint, so every
+//!   directed pair is emitted exactly once.
 //! * [`crate::SelfJoinSession`] — `Resident` index: the session pins the
 //!   dataset, caches the built [`GridIndex`] plus per-device
 //!   [`DeviceGrid`] snapshots (and the hoisted [`CellMajorPlan`]), and
@@ -41,9 +41,8 @@
 //! rayon-parallel — no device stages at all), or a [`DevicePool`], which
 //! leases the least-loaded device for the duration of the run.
 //!
-//! **Post** ([`PostStage`]): optional ownership filter (shard-scoped joins
-//! keep only owned-keyed pairs) and optional id remap (shard-local →
-//! global ids) — in that order, matching the shard halo contract.
+//! **Post** ([`JoinPlan::remap`]): optional id remap (shard-local →
+//! global ids) of the pair stream the ownership window already trimmed.
 
 use crate::batching::{run_batched_on, BatchReport, BatchingConfig, ExecOptions};
 use crate::cell_major::CellMajorPlan;
@@ -52,7 +51,7 @@ use crate::error::SelfJoinError;
 use crate::grid::GridIndex;
 use crate::host_join;
 use crate::kernels::kernel_registers;
-use crate::result::{remap_pairs, retain_owned_pairs, Ownership, Pair};
+use crate::result::{remap_pairs, Ownership, Pair};
 use sim_gpu::occupancy::KernelResources;
 use sim_gpu::{occupancy, Device, DevicePool, LaunchConfig, OccupancyResult};
 use sj_datasets::Dataset;
@@ -99,18 +98,8 @@ pub enum EstimateStage {
     Precomputed(u64),
 }
 
-/// Post-processing of the raw pair stream, applied in field order.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct PostStage<'a> {
-    /// Keep only pairs whose key is an owned point (`key < owned`),
-    /// counting the dropped ghost-keyed pairs — the shard halo contract.
-    pub scope_owned: Option<usize>,
-    /// Rewrite both pair ids through this map (shard-local → global).
-    pub remap: Option<&'a [u32]>,
-}
-
 /// One self-join described as data: which index, which estimate, which
-/// kernels, which post-processing. Built by every public entry point and
+/// kernels, which id remap. Built by every public entry point and
 /// run by [`execute`] — the single owner of the pipeline's control flow.
 #[derive(Clone, Copy, Debug)]
 pub struct JoinPlan<'a> {
@@ -128,8 +117,9 @@ pub struct JoinPlan<'a> {
     pub launch: LaunchConfig,
     /// Batching-scheme tunables (§V-A).
     pub batching: BatchingConfig,
-    /// Pair-stream post-processing.
-    pub post: PostStage<'a>,
+    /// Post stage: rewrite both pair ids through this map (shard-local →
+    /// global).
+    pub remap: Option<&'a [u32]>,
 }
 
 impl<'a> JoinPlan<'a> {
@@ -142,7 +132,7 @@ impl<'a> JoinPlan<'a> {
             exec: ExecOptions::default(),
             launch: LaunchConfig::default(),
             batching: BatchingConfig::default(),
-            post: PostStage::default(),
+            remap: None,
         }
     }
 
@@ -154,18 +144,16 @@ impl<'a> JoinPlan<'a> {
         }
     }
 
-    /// Restricts the post stage to owned-keyed pairs (shard scoping).
-    pub fn scoped(mut self, owned: usize) -> Self {
-        self.post.scope_owned = Some(owned);
-        self
-    }
-
-    /// Fuses an ownership window over the owned *prefix* `[0, owned)`
-    /// into execution: the kernels drop non-owned-keyed pairs at emit
-    /// time (one comparison before the `AppendBuffer` reservation), so
-    /// the ghost pairs are never materialized and no post-pass filter is
-    /// needed. The emit-filtered pair stream equals `scoped(owned)`'s
-    /// pair-for-pair.
+    /// Restricts execution to the owned *prefix* `[0, owned)` (shard
+    /// scoping): the kernels drop non-owned-keyed pairs at emit time (one
+    /// comparison before the `AppendBuffer` reservation), so ghost-keyed
+    /// pairs are never materialized, and the host backend scans only the
+    /// owned queries.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `owned` does not fit a `u32` point id; [`execute`] panics
+    /// if it exceeds the dataset size.
     pub fn owned_prefix(mut self, owned: usize) -> Self {
         self.exec.ownership = Some(Ownership::prefix(owned));
         self
@@ -173,7 +161,7 @@ impl<'a> JoinPlan<'a> {
 
     /// Remaps result ids through `map` in the post stage.
     pub fn remapped(mut self, map: &'a [u32]) -> Self {
-        self.post.remap = Some(map);
+        self.remap = Some(map);
         self
     }
 
@@ -242,9 +230,6 @@ pub struct JoinReport {
 pub struct PlanOutput {
     /// Directed result pairs after the post stage.
     pub pairs: Vec<Pair>,
-    /// Ghost-keyed pairs dropped by the ownership filter (zero unless
-    /// [`PostStage::scope_owned`] was set).
-    pub dropped_ghost_pairs: u64,
     /// Timings and counters.
     pub report: JoinReport,
 }
@@ -255,8 +240,8 @@ pub struct PlanOutput {
 ///
 /// # Panics
 ///
-/// Panics if [`PostStage::scope_owned`] exceeds the dataset size (the
-/// shard contract passes an owned *prefix*).
+/// Panics if the [`ExecOptions::ownership`] window exceeds the dataset
+/// size (the shard contract passes an owned *prefix*).
 pub fn execute(plan: &JoinPlan<'_>, backend: Backend<'_>) -> Result<PlanOutput, SelfJoinError> {
     let t0 = Instant::now();
     let mut span = sj_obs::Span::enter("plan.execute");
@@ -295,9 +280,8 @@ pub fn execute(plan: &JoinPlan<'_>, backend: Backend<'_>) -> Result<PlanOutput, 
     // Ownership-window validation: the window addresses dataset ids.
     if let Some(o) = plan.exec.ownership {
         assert!(
-            o.lo <= o.hi && o.hi as usize <= plan.data.len(),
-            "ownership window [{}, {}) exceeds dataset size {}",
-            o.lo,
+            o.hi as usize <= plan.data.len(),
+            "ownership window [0, {}) exceeds dataset size {}",
             o.hi,
             plan.data.len()
         );
@@ -328,19 +312,9 @@ pub fn execute(plan: &JoinPlan<'_>, backend: Backend<'_>) -> Result<PlanOutput, 
         }
     };
 
-    // Post stage: ownership filter, then remap (shard halo contract).
-    let mut dropped_ghost_pairs = 0;
+    // Post stage: shard-local → global id remap.
     let mut pspan = sj_obs::Span::enter("plan.post");
-    if let Some(owned) = plan.post.scope_owned {
-        assert!(
-            owned <= plan.data.len(),
-            "owned prefix {owned} exceeds dataset size {}",
-            plan.data.len()
-        );
-        dropped_ghost_pairs = retain_owned_pairs(&mut pairs, owned as u32);
-        pspan.label("dropped_ghosts", dropped_ghost_pairs);
-    }
-    if let Some(map) = plan.post.remap {
+    if let Some(map) = plan.remap {
         remap_pairs(&mut pairs, map);
         pspan.label("remapped", 1u64);
     }
@@ -349,11 +323,7 @@ pub fn execute(plan: &JoinPlan<'_>, backend: Backend<'_>) -> Result<PlanOutput, 
     report.total = t0.elapsed();
     span.label("pairs", pairs.len());
     span.set_modeled(modeled_start, report.modeled_total.as_secs_f64());
-    Ok(PlanOutput {
-        pairs,
-        dropped_ghost_pairs,
-        report,
-    })
+    Ok(PlanOutput { pairs, report })
 }
 
 /// Device pipeline: snapshot (upload or resident) → batched kernels →
@@ -431,15 +401,15 @@ fn run_host(
     // The host scan emits query-keyed pairs only, so an ownership window
     // restricts which queries are scanned — same emit-time semantics as
     // the device kernels, with the work skipped rather than filtered.
-    let (off, cnt) = match plan.exec.ownership {
-        Some(o) => (o.lo as usize, o.len()),
-        None => (0, plan.data.len()),
-    };
+    let queries = plan
+        .exec
+        .ownership
+        .map_or(plan.data.len(), |o| o.hi as usize);
     let t1 = Instant::now();
     let pairs = if parallel {
-        host_join::host_pairs_parallel(plan.data, grid, eps, off, cnt)
+        host_join::host_pairs_parallel(plan.data, grid, eps, queries)
     } else {
-        host_join::host_pairs_for_range_within(plan.data, grid, eps, off, cnt)
+        host_join::host_pairs_for_range_within(plan.data, grid, eps, 0, queries)
     };
     let scan = t1.elapsed();
     let report = JoinReport {
@@ -545,63 +515,37 @@ mod tests {
     }
 
     #[test]
-    fn scope_and_remap_post_stages_apply_in_order() {
-        let data = uniform(2, 400, 96);
-        let eps = 4.0;
-        let owned = 250usize;
-        // Identity-with-offset remap: local id i → 1000 + i.
-        let map: Vec<u32> = (0..data.len() as u32).map(|i| 1000 + i).collect();
-        let device = Device::new(DeviceSpec::titan_x_pascal());
-        let plan = JoinPlan::build_index(&data, eps)
-            .scoped(owned)
-            .remapped(&map);
-        let out = execute(&plan, Backend::Device(&device)).unwrap();
-        assert!(out
-            .pairs
-            .iter()
-            .all(|p| (1000..1000 + owned as u32).contains(&p.key)));
-        let full = execute(&JoinPlan::build_index(&data, eps), Backend::Device(&device)).unwrap();
-        let expected_kept = full
-            .pairs
-            .iter()
-            .filter(|p| (p.key as usize) < owned)
-            .count();
-        assert_eq!(out.pairs.len(), expected_kept);
-        assert_eq!(
-            out.dropped_ghost_pairs as usize,
-            full.pairs.len() - expected_kept
-        );
-    }
-
-    #[test]
-    fn ownership_fused_equals_scoped_post_pass() {
-        // The emit-time ownership filter must produce exactly the pairs
-        // the post-pass `scoped` filter keeps — for both hot paths, with
-        // and without UNICOMP, so the shard engine can swap one for the
-        // other freely.
+    fn owned_prefix_and_remap_match_filtered_oracle() {
+        // The emit-time window plus the remap must give exactly the
+        // unwindowed join's owned-keyed pairs, remapped — on both hot
+        // paths, with and without UNICOMP (UNICOMP may find an owned
+        // key's pair from a ghost query's side).
         use crate::cell_major::HotPath;
         let data = clustered(3, 500, 3, 1.0, 0.15, 98);
         let eps = 1.5;
         let owned = 320usize;
+        // Identity-with-offset remap: local id i → 1000 + i.
+        let map: Vec<u32> = (0..data.len() as u32).map(|i| 1000 + i).collect();
         let device = Device::new(DeviceSpec::titan_x_pascal());
         for hot_path in [HotPath::PerThread, HotPath::CellMajor] {
             for unicomp in [false, true] {
-                let mut scoped = JoinPlan::build_index(&data, eps).scoped(owned);
-                scoped.exec.hot_path = hot_path;
-                scoped.exec.unicomp = unicomp;
-                let mut fused = JoinPlan::build_index(&data, eps).owned_prefix(owned);
-                fused.exec.hot_path = hot_path;
-                fused.exec.unicomp = unicomp;
-                let a = execute(&scoped, Backend::Device(&device)).unwrap();
-                let b = execute(&fused, Backend::Device(&device)).unwrap();
-                assert_eq!(
-                    table(&data, &a),
-                    table(&data, &b),
-                    "hot_path={hot_path:?} unicomp={unicomp}"
-                );
-                // Fused plans never materialize a ghost-keyed pair.
-                assert_eq!(b.dropped_ghost_pairs, 0);
-                assert!(b.pairs.iter().all(|p| (p.key as usize) < owned));
+                let mut plan = JoinPlan::build_index(&data, eps);
+                plan.exec.hot_path = hot_path;
+                plan.exec.unicomp = unicomp;
+                let windowed = plan.owned_prefix(owned).remapped(&map);
+                let full = execute(&plan, Backend::Device(&device)).unwrap();
+                let mut expected: Vec<Pair> = full
+                    .pairs
+                    .iter()
+                    .filter(|p| (p.key as usize) < owned)
+                    .copied()
+                    .collect();
+                remap_pairs(&mut expected, &map);
+                expected.sort_unstable();
+                let mut got = execute(&windowed, Backend::Device(&device)).unwrap().pairs;
+                got.sort_unstable();
+                assert!(expected.len() < full.pairs.len(), "no ghost-keyed pairs");
+                assert_eq!(got, expected, "hot_path={hot_path:?} unicomp={unicomp}");
             }
         }
     }

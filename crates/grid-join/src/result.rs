@@ -53,32 +53,11 @@ impl NeighborTable {
     pub fn from_pairs(num_points: usize, pairs: &[Pair]) -> Self {
         let mut span = sj_obs::Span::enter("table.materialize");
         span.label("pairs", pairs.len());
-        let grouped = group_by_key(num_points, pairs, false, |p| (p.key, p.value));
+        let grouped = group_by_key(num_points, pairs, |p| (p.key, p.value));
         Self {
             offsets: grouped.offsets,
             neighbors: grouped.values,
         }
-    }
-
-    /// Builds the table like [`Self::from_pairs`] while also removing
-    /// duplicate pairs, returning the duplicate count: the same grouping
-    /// plus a dedup of each sorted list, instead of the `O(n log n)` full
-    /// `sort_unstable` + `dedup` a caller would otherwise run first (the
-    /// sharded engine's merge of multi-million-pair results).
-    ///
-    /// # Panics
-    ///
-    /// Panics if any pair references a point id `>= num_points`.
-    pub fn from_pairs_dedup(num_points: usize, pairs: &[Pair]) -> (Self, u64) {
-        let mut span = sj_obs::Span::enter("table.materialize");
-        span.label("pairs", pairs.len());
-        let grouped = group_by_key(num_points, pairs, true, |p| (p.key, p.value));
-        span.label("duplicates", grouped.duplicates);
-        let table = Self {
-            offsets: grouped.offsets,
-            neighbors: grouped.values,
-        };
-        (table, grouped.duplicates)
     }
 
     /// Number of points the table covers.
@@ -132,8 +111,6 @@ impl NeighborTable {
 pub(crate) struct Grouped {
     pub offsets: Vec<usize>,
     pub values: Vec<u32>,
-    /// Records removed as duplicates (zero unless dedup was asked for).
-    pub duplicates: u64,
 }
 
 /// Fewest records one grouping chunk is given: below this, another
@@ -149,9 +126,8 @@ fn grouping_chunks(records: usize, num_keys: usize) -> usize {
 }
 
 /// Groups `(key, value)` records (extracted by `key_value`) by key, for
-/// dense keys in `0..num_keys`, sorting every list and, with `dedup`,
-/// removing repeated values from it. This is the host half of
-/// Algorithm 1's "sort by key", as one parallel counting sort:
+/// dense keys in `0..num_keys`, sorting every list. This is the host
+/// half of Algorithm 1's "sort by key", as one parallel counting sort:
 ///
 /// 1. per-chunk key histograms over contiguous chunks of the records,
 ///    which also range-check every record;
@@ -160,7 +136,7 @@ fn grouping_chunks(records: usize, num_keys: usize) -> usize {
 ///    holding about equal record counts: each worker scans all records
 ///    but writes only its own keys' lists, a disjoint `split_at_mut`
 ///    part of the value array;
-/// 4. in the same worker, a `sort_unstable` (and dedup) of each list.
+/// 4. in the same worker, a `sort_unstable` of each list.
 ///
 /// Sorted lists make the output independent of record order and of the
 /// chunk count: the result is identical bit for bit on any host. Small
@@ -169,28 +145,17 @@ fn grouping_chunks(records: usize, num_keys: usize) -> usize {
 /// # Panics
 ///
 /// Panics if a key or value is `>= num_keys`.
-pub(crate) fn group_by_key<T, F>(
-    num_keys: usize,
-    records: &[T],
-    dedup: bool,
-    key_value: F,
-) -> Grouped
+pub(crate) fn group_by_key<T, F>(num_keys: usize, records: &[T], key_value: F) -> Grouped
 where
     T: Sync,
     F: Fn(&T) -> (u32, u32) + Sync,
 {
     let chunks = grouping_chunks(records.len(), num_keys);
-    group_by_key_in(chunks, num_keys, records, dedup, &key_value)
+    group_by_key_in(chunks, num_keys, records, &key_value)
 }
 
 /// [`group_by_key`] over an explicit chunk count (at least one).
-fn group_by_key_in<T, F>(
-    chunks: usize,
-    num_keys: usize,
-    records: &[T],
-    dedup: bool,
-    key_value: &F,
-) -> Grouped
+fn group_by_key_in<T, F>(chunks: usize, num_keys: usize, records: &[T], key_value: &F) -> Grouped
 where
     T: Sync,
     F: Fn(&T) -> (u32, u32) + Sync,
@@ -237,48 +202,18 @@ where
             }
         })
         .collect();
-    let bases: Vec<usize> = bounds.iter().map(|&k| offsets[k]).collect();
 
-    // Steps 3 and 4: each key range's scatter, then its list sorts. A
-    // range owns the ends `offsets[lo + 1..=hi]` of its lists and
-    // rewrites them when dedup shortens a list.
+    // Steps 3 and 4: each key range's scatter, then its list sorts.
     let mut values = vec![0u32; total];
-    let grouper = RangeGrouper {
-        records,
-        key_value,
-        dedup,
-    };
-    grouper.run(&bounds, 0, &mut offsets[1..], &mut values);
-
-    // Dedup leaves each range's lists packed at the front of its part:
-    // close the gaps between parts.
-    let mut write = 0;
-    for (keys, &base) in bounds.windows(2).zip(&bases) {
-        if keys[0] == keys[1] {
-            continue;
-        }
-        let kept = offsets[keys[1]] - base;
-        if base != write {
-            values.copy_within(base..base + kept, write);
-            for end in &mut offsets[keys[0] + 1..=keys[1]] {
-                *end -= base - write;
-            }
-        }
-        write += kept;
-    }
-    values.truncate(write);
-    Grouped {
-        offsets,
-        values,
-        duplicates: (total - write) as u64,
-    }
+    let grouper = RangeGrouper { records, key_value };
+    grouper.run(&bounds, &offsets, &mut values);
+    Grouped { offsets, values }
 }
 
 /// Steps 3 and 4 of [`group_by_key`] over one set of records.
 struct RangeGrouper<'a, T, F> {
     records: &'a [T],
     key_value: &'a F,
-    dedup: bool,
 }
 
 impl<T, F> RangeGrouper<'_, T, F>
@@ -287,35 +222,33 @@ where
     F: Fn(&T) -> (u32, u32) + Sync,
 {
     /// Groups the key ranges `bounds` (range `i` is keys `bounds[i]..bounds[i + 1]`),
-    /// forking across ranges. `ends` holds the list ends of keys
-    /// `bounds[0]..bounds[last]`, `values` their slots, which start at
-    /// record offset `base`.
-    fn run(&self, bounds: &[usize], base: usize, ends: &mut [usize], values: &mut [u32]) {
+    /// forking across ranges. `values` holds the slots of keys
+    /// `bounds[0]..bounds[last]`, which start at `offsets[bounds[0]]`.
+    fn run(&self, bounds: &[usize], offsets: &[usize], values: &mut [u32]) {
         if bounds.len() <= 2 {
-            self.range(bounds[0], base, ends, values);
+            self.range(bounds[0], &offsets[bounds[0]..=bounds[1]], values);
             return;
         }
         let mid = bounds.len() / 2;
-        let split = bounds[mid] - bounds[0];
-        let mid_base = if split == 0 { base } else { ends[split - 1] };
-        let (left_ends, right_ends) = ends.split_at_mut(split);
-        let (left_values, right_values) = values.split_at_mut(mid_base - base);
+        let split = offsets[bounds[mid]] - offsets[bounds[0]];
+        let (left, right) = values.split_at_mut(split);
         rayon::join(
-            || self.run(&bounds[..=mid], base, left_ends, left_values),
-            || self.run(&bounds[mid..], mid_base, right_ends, right_values),
+            || self.run(&bounds[..=mid], offsets, left),
+            || self.run(&bounds[mid..], offsets, right),
         );
     }
 
-    /// Groups the keys `lo..lo + ends.len()` into `values`.
-    fn range(&self, lo: usize, base: usize, ends: &mut [usize], values: &mut [u32]) {
-        let span = ends.len();
+    /// Groups the keys `lo..lo + offsets.len() - 1`, whose list offsets
+    /// are `offsets`, into `values`.
+    fn range(&self, lo: usize, offsets: &[usize], values: &mut [u32]) {
+        let span = offsets.len() - 1;
         if span == 0 {
             return;
         }
-        // Step 3: scatter this range's values, cursors relative to `base`.
-        let mut cursor = Vec::with_capacity(span);
-        cursor.push(0);
-        cursor.extend(ends[..span - 1].iter().map(|e| e - base));
+        // Step 3: scatter this range's values, cursors relative to its
+        // first slot.
+        let base = offsets[0];
+        let mut cursor: Vec<usize> = offsets[..span].iter().map(|o| o - base).collect();
         for r in self.records {
             let (k, v) = (self.key_value)(r);
             let local = (k as usize).wrapping_sub(lo);
@@ -325,70 +258,44 @@ where
                 *c += 1;
             }
         }
-        // Step 4: sort each list; dedup packs the kept values to the front.
-        let (mut start, mut write) = (0, 0);
-        for end in ends.iter_mut() {
-            let stop = *end - base;
-            values[start..stop].sort_unstable();
-            if self.dedup {
-                let mut prev = None;
-                for i in start..stop {
-                    let v = values[i];
-                    if prev != Some(v) {
-                        values[write] = v;
-                        write += 1;
-                        prev = Some(v);
-                    }
-                }
-            } else {
-                write = stop;
-            }
-            *end = base + write;
-            start = stop;
+        // Step 4: sort each list.
+        for list in offsets.windows(2) {
+            values[list[0] - base..list[1] - base].sort_unstable();
         }
     }
 }
 
-/// Emit-time ownership window of a shard-scoped join: the contiguous
-/// local-id range `[lo, hi)` of points this execution *owns*. Kernels
-/// carrying an ownership window test each candidate pair's key with one
+/// Emit-time ownership window of a shard-scoped join: the local-id
+/// prefix `[0, hi)` of points this execution *owns*. Shard-local datasets
+/// are laid out owned-points-first, so ownership of a pair is one
+/// comparison on its key. Kernels carrying an ownership window make that
 /// comparison **before** reserving result-buffer space, so ghost-keyed
-/// pairs are never materialized — the fused alternative to the post-pass
-/// [`retain_owned_pairs`] filter.
-///
-/// Shard-local datasets are laid out owned-points-first, so shard plans
-/// use the prefix window `[0, owned)`.
+/// pairs are never materialized: every directed pair is emitted once, by
+/// the shard that owns its key. Values may reference ghosts — that is the
+/// point of the halo: an owned query must see its neighbours across the
+/// shard boundary.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Ownership {
-    /// First owned local id (inclusive).
-    pub lo: u32,
     /// One past the last owned local id (exclusive).
     pub hi: u32,
 }
 
 impl Ownership {
     /// The owned-points-first prefix window `[0, owned)` of a shard.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `owned` does not fit a `u32` point id.
     pub fn prefix(owned: usize) -> Self {
         Self {
-            lo: 0,
-            hi: owned as u32,
+            hi: u32::try_from(owned).expect("owned prefix exceeds the u32 point-id range"),
         }
     }
 
     /// Whether a pair keyed by `key` belongs to this execution.
     #[inline]
     pub fn keeps(&self, key: u32) -> bool {
-        self.lo <= key && key < self.hi
-    }
-
-    /// Number of local ids in the window.
-    pub fn len(&self) -> usize {
-        (self.hi - self.lo) as usize
-    }
-
-    /// Whether the window is empty.
-    pub fn is_empty(&self) -> bool {
-        self.lo >= self.hi
+        key < self.hi
     }
 }
 
@@ -397,21 +304,6 @@ impl Ownership {
 /// in canonical order rather than a [`NeighborTable`].
 pub fn sort_pairs(pairs: &mut [Pair]) {
     pairs.sort_unstable();
-}
-
-/// Halo-aware ownership filter for shard-scoped joins: keeps only pairs
-/// whose *key* is an owned point (local id `< owned`) and drops the rest
-/// (ghost-keyed pairs, which the shard that owns the ghost will produce).
-/// Returns the number of dropped pairs.
-///
-/// Shard-local datasets are laid out owned-points-first, so ownership of a
-/// pair is a single comparison on the key. Values may reference ghosts —
-/// that is the point of the halo: an owned query must see its neighbours
-/// across the shard boundary.
-pub fn retain_owned_pairs(pairs: &mut Vec<Pair>, owned: u32) -> u64 {
-    let before = pairs.len();
-    pairs.retain(|p| p.key < owned);
-    (before - pairs.len()) as u64
 }
 
 /// Rewrites shard-local point ids to global ids through `global_ids`
@@ -452,34 +344,6 @@ mod tests {
     }
 
     #[test]
-    fn dedup_table_removes_duplicates_and_matches_sorted_merge() {
-        let mut pairs = sample_pairs();
-        pairs.push(Pair::new(0, 2)); // duplicate
-        pairs.push(Pair::new(2, 0)); // duplicate
-        pairs.push(Pair::new(0, 2)); // triplicate
-        let (t, dups) = NeighborTable::from_pairs_dedup(3, &pairs);
-        assert_eq!(dups, 3);
-        assert_eq!(t, NeighborTable::from_pairs(3, &sample_pairs()));
-        // Reference construction: full sort + dedup, then from_pairs.
-        let mut sorted = pairs.clone();
-        sorted.sort_unstable();
-        sorted.dedup();
-        assert_eq!(t, NeighborTable::from_pairs(3, &sorted));
-        // No duplicates → zero removed, identical to from_pairs.
-        let (clean, zero) = NeighborTable::from_pairs_dedup(3, &sample_pairs());
-        assert_eq!(zero, 0);
-        assert_eq!(clean, NeighborTable::from_pairs(3, &sample_pairs()));
-        let (empty, d) = NeighborTable::from_pairs_dedup(4, &[]);
-        assert_eq!((empty.num_points(), d), (4, 0));
-    }
-
-    #[test]
-    #[should_panic(expected = "out of range")]
-    fn dedup_table_rejects_out_of_range() {
-        let _ = NeighborTable::from_pairs_dedup(2, &[Pair::new(0, 5)]);
-    }
-
-    #[test]
     fn symmetry_check() {
         let t = NeighborTable::from_pairs(3, &sample_pairs());
         assert!(t.is_symmetric());
@@ -512,40 +376,20 @@ mod tests {
     }
 
     #[test]
-    fn ownership_filter_keeps_owned_keys_only() {
-        let mut pairs = vec![
-            Pair::new(0, 3), // owned key, ghost value: kept
-            Pair::new(1, 0), // owned-owned: kept
-            Pair::new(3, 0), // ghost key: dropped
-            Pair::new(4, 3), // ghost-ghost: dropped
-        ];
-        let dropped = retain_owned_pairs(&mut pairs, 2);
-        assert_eq!(dropped, 2);
-        assert_eq!(pairs, vec![Pair::new(0, 3), Pair::new(1, 0)]);
-        let mut none: Vec<Pair> = Vec::new();
-        assert_eq!(retain_owned_pairs(&mut none, 5), 0);
-    }
-
-    #[test]
     fn ownership_window_semantics() {
         let own = Ownership::prefix(3);
         assert!(own.keeps(0) && own.keeps(2));
         assert!(!own.keeps(3));
-        assert_eq!(own.len(), 3);
-        let mid = Ownership { lo: 2, hi: 5 };
-        assert!(!mid.keeps(1) && mid.keeps(2) && mid.keeps(4) && !mid.keeps(5));
-        assert!(Ownership::prefix(0).is_empty());
-        // The emit-time window keeps exactly what the post-pass filter
-        // keeps for a prefix window.
-        let mut pairs = vec![Pair::new(0, 3), Pair::new(3, 0), Pair::new(2, 4)];
-        let keep = Ownership::prefix(3);
-        let by_window: Vec<Pair> = pairs
-            .iter()
-            .copied()
-            .filter(|p| keep.keeps(p.key))
-            .collect();
-        retain_owned_pairs(&mut pairs, 3);
-        assert_eq!(pairs, by_window);
+        assert!(!Ownership::prefix(0).keeps(0));
+        let all = Ownership::prefix(u32::MAX as usize);
+        assert!(all.keeps(u32::MAX - 1) && !all.keeps(u32::MAX));
+    }
+
+    #[test]
+    #[should_panic(expected = "u32 point-id range")]
+    fn ownership_prefix_beyond_u32_ids_panics() {
+        // `u32::MAX + 5` must not wrap to the window [0, 4).
+        let _ = Ownership::prefix(u32::MAX as usize + 5);
     }
 
     #[test]
@@ -578,13 +422,10 @@ mod tests {
         assert!(p1.windows(2).all(|w| w[0] <= w[1]));
     }
 
-    /// Serial oracle: sort (then dedup), then build the CSR in one pass.
-    fn oracle(num_keys: usize, pairs: &[Pair], dedup: bool) -> (Vec<usize>, Vec<u32>, u64) {
+    /// Serial oracle: sort, then build the CSR in one pass.
+    fn oracle(num_keys: usize, pairs: &[Pair]) -> (Vec<usize>, Vec<u32>) {
         let mut sorted = pairs.to_vec();
         sorted.sort_unstable();
-        if dedup {
-            sorted.dedup();
-        }
         let mut offsets = vec![0usize; num_keys + 1];
         for p in &sorted {
             offsets[p.key as usize + 1] += 1;
@@ -593,7 +434,7 @@ mod tests {
             offsets[k + 1] += offsets[k];
         }
         let values = sorted.iter().map(|p| p.value).collect();
-        (offsets, values, (pairs.len() - sorted.len()) as u64)
+        (offsets, values)
     }
 
     /// SplitMix64: a seeded stream for building test inputs.
@@ -643,26 +484,17 @@ mod tests {
         fn grouping_matches_serial_oracle_for_any_chunk_count(
             shape in 0u64..6,
             seed in 0u64..u64::MAX,
-            dedup in 0u8..2,
         ) {
             let (num_keys, mut pairs) = grouping_input(shape, seed);
-            let dedup = dedup == 1;
-            let (offsets, values, duplicates) = oracle(num_keys, &pairs, dedup);
+            let (offsets, values) = oracle(num_keys, &pairs);
             let kv = |p: &Pair| (p.key, p.value);
             for chunks in 1..=8 {
-                let g = group_by_key_in(chunks, num_keys, &pairs, dedup, &kv);
+                let g = group_by_key_in(chunks, num_keys, &pairs, &kv);
                 prop_assert_eq!(&g.offsets, &offsets, "offsets, {} chunks", chunks);
                 prop_assert_eq!(&g.values, &values, "values, {} chunks", chunks);
-                prop_assert_eq!(g.duplicates, duplicates, "duplicates, {} chunks", chunks);
             }
-            // The public builders take the host's own chunk count.
-            let table = if dedup {
-                let (table, d) = NeighborTable::from_pairs_dedup(num_keys, &pairs);
-                prop_assert_eq!(d, duplicates);
-                table
-            } else {
-                NeighborTable::from_pairs(num_keys, &pairs)
-            };
+            // The public builder takes the host's own chunk count.
+            let table = NeighborTable::from_pairs(num_keys, &pairs);
             prop_assert_eq!(&table.offsets, &offsets);
             prop_assert_eq!(&table.neighbors, &values);
             // Any permutation of the input gives the same table.
@@ -671,7 +503,7 @@ mod tests {
                 pairs.swap(i, (mix(&mut st) % (i as u64 + 1)) as usize);
             }
             for chunks in [1, 3, 8] {
-                let g = group_by_key_in(chunks, num_keys, &pairs, dedup, &kv);
+                let g = group_by_key_in(chunks, num_keys, &pairs, &kv);
                 prop_assert_eq!(&g.offsets, &offsets);
                 prop_assert_eq!(&g.values, &values);
             }
@@ -697,21 +529,20 @@ mod tests {
     fn range_check_on_a_worker_keeps_its_message() {
         let mut pairs = vec![Pair::new(0, 1); 4_000];
         pairs[3_999] = Pair::new(1, 9);
-        let _ = group_by_key_in(4, 4, &pairs, false, &|p: &Pair| (p.key, p.value));
+        let _ = group_by_key_in(4, 4, &pairs, &|p: &Pair| (p.key, p.value));
     }
 
     #[test]
-    fn dedup_empty_ranges_and_skew() {
-        // One key holds every pair: the other key ranges are empty, and
-        // the dedup compaction must still close the gaps.
+    fn empty_ranges_and_skew() {
+        // One key holds almost every pair, so most key ranges are empty
+        // and the fork splits fall on the same offset.
         let mut pairs: Vec<Pair> = (0..50).map(|i| Pair::new(3, i % 7)).collect();
         pairs.push(Pair::new(9, 1));
         pairs.push(Pair::new(9, 1));
         let kv = |p: &Pair| (p.key, p.value);
         for chunks in 1..=8 {
-            let g = group_by_key_in(chunks, 10, &pairs, true, &kv);
-            let (offsets, values, d) = oracle(10, &pairs, true);
-            assert_eq!((g.offsets, g.values, g.duplicates), (offsets, values, d));
+            let g = group_by_key_in(chunks, 10, &pairs, &kv);
+            assert_eq!((g.offsets, g.values), oracle(10, &pairs));
         }
     }
 }

@@ -71,7 +71,7 @@ const EVAL_CORRECTION_CLAMP: f64 = 32.0;
 /// learned by one engine benefit the next, and `cargo test`'s concurrent
 /// observers all push toward the same host-true ratio.
 /// The correction is tracked **per dimensionality** (dimensions above
-/// [`EVAL_CORRECTION_DIMS`] share the last slot): the audit shows the
+/// the slot count, 8, share the last slot): the audit shows the
 /// drift is strongly dimension-dependent — the 2-D workloads' candidate
 /// scans over-project while 6-D under-projects, because the
 /// calibration's raw candidate inflation and the kernels' short-circuit

@@ -10,8 +10,8 @@
 //! choose shard count (modeled-response argmin) → materialize the chosen
 //! partition → LPT scheduling → one executor task per device (rayon)
 //! running its queue of subplans (shard grid build + join) through
-//! [`grid_join::plan::execute`] → concatenating merge into the global
-//! [`NeighborTable`].
+//! [`grid_join::plan::execute`] → one grouping of the concatenated pairs
+//! into the global [`NeighborTable`].
 //!
 //! ## The parallel prelude
 //!
@@ -52,19 +52,18 @@
 //! multiplies subsequent calibrations' `eval_cost` so the projection
 //! error stays inside the audited band instead of re-diverging.
 //!
-//! ## Ownership fusion
+//! ## Ownership
 //!
-//! Shard-local point ids place the owned points first, so the ownership
-//! filter is the window `[0, owned)` — fused into the kernels via
-//! [`grid_join::plan::JoinPlan::owned_prefix`], which drops ghost-keyed
-//! pairs at emit time (one comparison before the result reservation).
-//! Ghost pairs are never materialized, downloaded or post-filtered, and
-//! since the ownership windows of different shards cover disjoint global
-//! id sets, the merge degenerates to concatenation (debug builds still
-//! run the counting-sort dedup and assert it found nothing). The
-//! [`HotPath::PerThread`] ablation path keeps the classic post-pass
-//! filter + dedup merge so the fused/post-pass configurations stay
-//! comparable.
+//! Shard-local point ids place the owned points first, so a shard owns
+//! the window `[0, owned)`, applied in the kernels via
+//! [`grid_join::plan::JoinPlan::owned_prefix`]: both hot paths drop
+//! ghost-keyed pairs at emit time (one comparison before the result
+//! reservation), so ghost pairs are never materialized or downloaded.
+//! The ownership windows of different shards cover disjoint global id
+//! sets, so every directed pair comes from exactly one shard and the
+//! merge is one [`NeighborTable::from_pairs`] over the concatenated
+//! pairs — no dedup. Debug builds assert that every merged neighbour
+//! list is strictly increasing, which fails if two windows overlapped.
 //!
 //! ## Timing model
 //!
@@ -153,9 +152,6 @@ pub struct ShardRunReport {
     pub predicted_cost: u64,
     /// Directed pairs this shard contributed (ownership applied).
     pub actual_pairs: u64,
-    /// Ghost-keyed pairs dropped by the *post-pass* ownership filter —
-    /// zero on the fused path, where they are never materialized.
-    pub dropped_ghost_pairs: u64,
     /// Result batches the shard's join executed.
     pub batches: usize,
     /// H2D bytes attributable to uploading this shard's ghost points.
@@ -226,8 +222,8 @@ pub struct ShardedReport {
     pub index_build_time: Duration,
     /// Wall time of the parallel execution phase.
     pub execute_time: Duration,
-    /// Wall time of the merge (pure concatenation-order table build on
-    /// the fused path; sort + dedup on the ablation path).
+    /// Wall time of the merge: one table build over the concatenated
+    /// per-shard pairs.
     pub merge_time: Duration,
     /// End-to-end host wall time.
     pub total: Duration,
@@ -238,10 +234,6 @@ pub struct ShardedReport {
     /// single-device `JoinReport::modeled_total` convention, which
     /// likewise excludes host-side table/merge construction.
     pub modeled_total: Duration,
-    /// Duplicate pairs removed by the merge. Exclusive pair ownership
-    /// makes this 0; on the fused path duplicates are structurally
-    /// impossible and release builds skip the check entirely.
-    pub duplicates_merged: u64,
     /// Device-fault events that interrupted a shard during this run
     /// (injected crashes and transient upload/launch failures).
     pub device_faults: u64,
@@ -506,11 +498,6 @@ impl ShardedSelfJoin {
             modeled_makespan(&assignment, &stages)
         };
 
-        // Fused path: ownership is an emit-time kernel window and the
-        // merge is pure concatenation. The PerThread ablation keeps the
-        // post-pass filter + dedup merge for comparison.
-        let fused = self.config.join.hot_path == HotPath::CellMajor;
-
         // Parallel execution: one rayon task per device drains its queue
         // — building each shard's grid, then running the subplan — and
         // streams globally-remapped pairs into the shared merge
@@ -562,16 +549,12 @@ impl ShardedSelfJoin {
 
             // The shard's subplan: the rewrite of the logical
             // join restricted to this shard. Owned points are the
-            // local prefix, so the ownership window is [0, owned)
-            // — fused into the kernels on the hot path, a post
-            // pass on the ablation path. Ids lift back to global.
-            let base = self.subplan(&shard.data, &grid, costs[s].predicted_pairs);
-            let subplan = if fused {
-                base.owned_prefix(shard.owned)
-            } else {
-                base.scoped(shard.owned)
-            }
-            .remapped(&shard.global_ids);
+            // local prefix, so the kernels' ownership window is
+            // [0, owned). Ids lift back to global.
+            let subplan = self
+                .subplan(&shard.data, &grid, costs[s].predicted_pairs)
+                .owned_prefix(shard.owned)
+                .remapped(&shard.global_ids);
             let out = {
                 let _kernels = substrate.lock();
                 execute(&subplan, Backend::Device(self.pool.device(d)))?
@@ -606,7 +589,6 @@ impl ShardedSelfJoin {
                 ghosts: shard.ghosts(),
                 predicted_cost: costs[s].cost(),
                 actual_pairs: pairs.len() as u64,
-                dropped_ghost_pairs: out.dropped_ghost_pairs,
                 batches: out.report.batching.batches,
                 ghost_h2d_bytes: ghost_h2d,
                 modeled: grid_build + out.report.modeled_total,
@@ -733,24 +715,15 @@ impl ShardedSelfJoin {
         }
         let execute_time = t2.elapsed();
 
-        // Merge. Fused path: the per-shard ownership windows cover
-        // disjoint global id sets, so concatenation is already the union
-        // — debug builds re-run the counting-sort dedup purely to assert
-        // the disjointness invariant. Ablation path: dedup merge as a
-        // cheap runtime check of the post-pass filter.
+        // Merge: the per-shard ownership windows cover disjoint global id
+        // sets, so the concatenated pairs are already the union. A pair
+        // emitted twice would show as a repeated value in a sorted list.
         let t3 = Instant::now();
-        let pairs = merged.into_inner();
-        let (table, duplicates_merged) = if fused {
-            if cfg!(debug_assertions) {
-                let (table, dups) = NeighborTable::from_pairs_dedup(data.len(), &pairs);
-                debug_assert_eq!(dups, 0, "fused ownership windows overlapped");
-                (table, dups)
-            } else {
-                (NeighborTable::from_pairs(data.len(), &pairs), 0)
-            }
-        } else {
-            NeighborTable::from_pairs_dedup(data.len(), &pairs)
-        };
+        let table = NeighborTable::from_pairs(data.len(), &merged.into_inner());
+        debug_assert!(
+            (0..table.num_points()).all(|p| table.neighbors(p).windows(2).all(|w| w[0] < w[1])),
+            "ownership windows overlapped"
+        );
         let merge_time = t3.elapsed();
 
         let devices = profiler.snapshot();
@@ -841,7 +814,6 @@ impl ShardedSelfJoin {
                 merge_time,
                 total: t0.elapsed(),
                 modeled_total,
-                duplicates_merged,
                 device_faults: device_faults.into_inner(),
                 reexecuted_shards: reexecuted,
             },
@@ -850,8 +822,8 @@ impl ShardedSelfJoin {
 
     /// The per-shard subplan of the rewrite: the configured join over the
     /// shard's prebuilt index with its model-projected result estimate.
-    /// `run` further applies the ownership window (fused or post-pass)
-    /// and remaps ids to the global space.
+    /// `run` further applies the ownership window and remaps ids to the
+    /// global space.
     fn subplan<'a>(
         &self,
         shard_data: &'a Dataset,
@@ -893,7 +865,6 @@ mod tests {
         let sharded = ShardedSelfJoin::titan_x(4).run(&data, eps).unwrap();
         let single = GpuSelfJoin::default_device().run(&data, eps).unwrap();
         assert_eq!(sharded.table, single.table);
-        assert_eq!(sharded.report.duplicates_merged, 0);
         assert_eq!(
             sharded.report.shards.iter().map(|s| s.owned).sum::<usize>(),
             data.len()
@@ -907,7 +878,6 @@ mod tests {
         let sharded = ShardedSelfJoin::titan_x(2).run(&data, eps).unwrap();
         let single = GpuSelfJoin::default_device().run(&data, eps).unwrap();
         assert_eq!(sharded.table, single.table);
-        assert_eq!(sharded.report.duplicates_merged, 0);
     }
 
     #[test]
@@ -951,17 +921,12 @@ mod tests {
             .with_hot_path(HotPath::PerThread)
             .run(&data, eps)
             .unwrap();
-        assert_eq!(cm.table, pt.table);
-        assert_eq!(cm.report.duplicates_merged, 0);
-        assert_eq!(pt.report.duplicates_merged, 0);
-        // Fused path never materializes ghost pairs; the ablation path
-        // visibly filters them (ghosts exist whenever shards > 1).
-        for s in &cm.report.shards {
-            assert_eq!(s.dropped_ghost_pairs, 0);
-        }
-        if pt.report.shards.len() > 1 {
-            assert!(pt.report.shards.iter().any(|s| s.dropped_ghost_pairs > 0));
-        }
+        // Both paths take the ownership window, so both equal the
+        // unsharded reference.
+        let grid = GridIndex::build(&data, eps).unwrap();
+        let reference = host_self_join(&data, &grid);
+        assert_eq!(cm.table, reference);
+        assert_eq!(pt.table, reference);
     }
 
     #[test]
@@ -1023,7 +988,6 @@ mod tests {
         assert_eq!(out.table, single.table);
         assert_eq!(out.report.ghost_points, 0);
         assert_eq!(out.report.shards.len(), 1);
-        assert_eq!(out.report.shards[0].dropped_ghost_pairs, 0);
         assert_eq!(out.report.ghost_h2d_bytes(), 0);
     }
 
@@ -1033,7 +997,7 @@ mod tests {
             .run(&Dataset::new(2), 1.0)
             .unwrap();
         assert_eq!(out.table.num_points(), 0);
-        assert_eq!(out.report.duplicates_merged, 0);
+        assert_eq!(out.table.total_pairs(), 0);
     }
 
     #[test]
@@ -1139,7 +1103,6 @@ mod tests {
         let out = engine.run(&data, eps).unwrap();
         let single = GpuSelfJoin::default_device().run(&data, eps).unwrap();
         assert_eq!(out.table, single.table);
-        assert_eq!(out.report.duplicates_merged, 0);
         assert!(out.report.device_faults >= 1);
         assert!(out.report.reexecuted_shards >= 1);
     }
@@ -1164,7 +1127,6 @@ mod tests {
         let out = engine.run(&data, eps).unwrap();
         let single = GpuSelfJoin::default_device().run(&data, eps).unwrap();
         assert_eq!(out.table, single.table);
-        assert_eq!(out.report.duplicates_merged, 0);
         assert!(out.report.device_faults >= 1);
         assert!(out.report.reexecuted_shards >= 1);
         assert!(!engine.pool().is_healthy(2));

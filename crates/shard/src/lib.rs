@@ -7,7 +7,7 @@
 //! all of them concurrently — the trajectory the authors took in their
 //! later multi-GPU self-join work. Four pieces compose the engine:
 //!
-//! * [`partition`] — recursive kd-style splits: each sub-region is cut
+//! * [`mod@partition`] — recursive kd-style splits: each sub-region is cut
 //!   along its widest remaining dimension at a grid-aligned boundary,
 //!   yielding compact **boxes** instead of thin slabs. Each box carries an
 //!   ε-wide ghost/halo band per face (the halo-ownership invariant
@@ -24,19 +24,22 @@
 //!   cut at all.
 //! * [`engine`] — [`ShardedSelfJoin`]: prices candidate shard counts on
 //!   the calibration sample, partitions at the modeled-makespan argmin,
-//!   then runs one executor task per device. Ownership is **fused into
-//!   the kernels** as an emit-time window over each shard's owned-prefix
-//!   ids, so ghost-keyed pairs are never materialized and the merge is
-//!   pure concatenation.
+//!   then runs one executor task per device. Ownership is an emit-time
+//!   window in the kernels over each shard's owned-prefix ids, so
+//!   ghost-keyed pairs are never materialized and the merge is one
+//!   grouping of the concatenated pairs, with no dedup.
 //!
 //! ```
+//! use grid_join::GpuSelfJoin;
 //! use sj_shard::ShardedSelfJoin;
 //! use sj_datasets::synthetic::uniform;
 //!
 //! let data = uniform(2, 2_000, 7);
 //! let out = ShardedSelfJoin::titan_x(4).run(&data, 2.0).unwrap();
 //! assert!(out.table.is_symmetric());
-//! assert_eq!(out.report.duplicates_merged, 0); // exclusive ownership
+//! // Exclusive ownership: the shards' union is the single-device result.
+//! let single = GpuSelfJoin::default_device().run(&data, 2.0).unwrap();
+//! assert_eq!(out.table, single.table);
 //! ```
 //!
 //! # The halo-ownership invariant
@@ -61,8 +64,8 @@
 //!    pairs at emit time — one comparison before the result-buffer
 //!    reservation, no ghost pair ever materialized. Hence each directed
 //!    pair `(p, q)` is reported by exactly one shard — the owner of `p` —
-//!    and the merge is plain concatenation (debug builds still run the
-//!    dedup pass and assert it found nothing).
+//!    and the merge needs no dedup (debug builds assert that every merged
+//!    neighbour list is strictly increasing).
 //!
 //! Together: the union of per-shard results equals the single-device
 //! result pair-for-pair, which the workspace's property tests assert for

@@ -27,7 +27,6 @@ fn main() {
         // The sharded result is pair-for-pair identical to the
         // single-device one — the halo-ownership invariant at work.
         assert_eq!(out.table, single.table);
-        assert_eq!(r.duplicates_merged, 0);
 
         println!(
             "{devices} devices     : modeled {:?} ({:.2}x), {} shards, {} ghosts ({:.1}%)",

@@ -43,8 +43,8 @@ proptest! {
     }
 
     /// The sharded engine running the cell-major path per shard is
-    /// pair-for-pair identical to the per-thread path and the host join,
-    /// with a clean (duplicate-free) ownership merge.
+    /// pair-for-pair identical to the per-thread path and the host join
+    /// (a pair emitted by two shards would break the equality).
     #[test]
     fn cell_major_matches_through_sharded_engine((data, eps) in dataset_strategy()) {
         let grid = GridIndex::build(&data, eps).unwrap();
@@ -61,7 +61,5 @@ proptest! {
             .unwrap();
         prop_assert_eq!(&cm.table, &host);
         prop_assert_eq!(&pt.table, &host);
-        prop_assert_eq!(cm.report.duplicates_merged, 0);
-        prop_assert_eq!(pt.report.duplicates_merged, 0);
     }
 }
