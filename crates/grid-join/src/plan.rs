@@ -514,17 +514,56 @@ mod tests {
         assert!(matches!(err, SelfJoinError::Grid(_)));
     }
 
+    /// The post-pass oracle: the unwindowed join's pairs whose key lies in
+    /// the owned prefix, optionally remapped, sorted.
+    fn owned_oracle(full: &PlanOutput, owned: usize, map: Option<&[u32]>) -> Vec<Pair> {
+        let mut expected: Vec<Pair> = full
+            .pairs
+            .iter()
+            .filter(|p| (p.key as usize) < owned)
+            .copied()
+            .collect();
+        if let Some(map) = map {
+            remap_pairs(&mut expected, map);
+        }
+        expected.sort_unstable();
+        expected
+    }
+
     #[test]
-    fn owned_prefix_and_remap_match_filtered_oracle() {
-        // The emit-time window plus the remap must give exactly the
-        // unwindowed join's owned-keyed pairs, remapped — on both hot
-        // paths, with and without UNICOMP (UNICOMP may find an owned
-        // key's pair from a ghost query's side).
+    fn scope_and_remap_post_stages_apply_in_order() {
+        // The window selects owned keys in local ids, then the remap
+        // rewrites them: keys land in the remapped owned range and the
+        // pairs equal the filter-then-remap oracle.
+        let data = uniform(2, 400, 96);
+        let eps = 4.0;
+        let owned = 250usize;
+        // Identity-with-offset remap: local id i → 1000 + i.
+        let map: Vec<u32> = (0..data.len() as u32).map(|i| 1000 + i).collect();
+        let device = Device::new(DeviceSpec::titan_x_pascal());
+        let plan = JoinPlan::build_index(&data, eps);
+        let full = execute(&plan, Backend::Device(&device)).unwrap();
+        let windowed = plan.owned_prefix(owned).remapped(&map);
+        let mut got = execute(&windowed, Backend::Device(&device)).unwrap().pairs;
+        assert!(got
+            .iter()
+            .all(|p| (1000..1000 + owned as u32).contains(&p.key)));
+        got.sort_unstable();
+        let expected = owned_oracle(&full, owned, Some(&map));
+        assert!(expected.len() < full.pairs.len(), "no ghost-keyed pairs");
+        assert_eq!(got, expected);
+    }
+
+    #[test]
+    fn ownership_fused_equals_scoped_post_pass() {
+        // The emit-time window plus the remap must give exactly what a
+        // post-pass filter of the unwindowed join keeps, remapped — on
+        // both hot paths, with and without UNICOMP (UNICOMP may find an
+        // owned key's pair from a ghost query's side).
         use crate::cell_major::HotPath;
         let data = clustered(3, 500, 3, 1.0, 0.15, 98);
         let eps = 1.5;
         let owned = 320usize;
-        // Identity-with-offset remap: local id i → 1000 + i.
         let map: Vec<u32> = (0..data.len() as u32).map(|i| 1000 + i).collect();
         let device = Device::new(DeviceSpec::titan_x_pascal());
         for hot_path in [HotPath::PerThread, HotPath::CellMajor] {
@@ -532,18 +571,11 @@ mod tests {
                 let mut plan = JoinPlan::build_index(&data, eps);
                 plan.exec.hot_path = hot_path;
                 plan.exec.unicomp = unicomp;
-                let windowed = plan.owned_prefix(owned).remapped(&map);
                 let full = execute(&plan, Backend::Device(&device)).unwrap();
-                let mut expected: Vec<Pair> = full
-                    .pairs
-                    .iter()
-                    .filter(|p| (p.key as usize) < owned)
-                    .copied()
-                    .collect();
-                remap_pairs(&mut expected, &map);
-                expected.sort_unstable();
+                let windowed = plan.owned_prefix(owned).remapped(&map);
                 let mut got = execute(&windowed, Backend::Device(&device)).unwrap().pairs;
                 got.sort_unstable();
+                let expected = owned_oracle(&full, owned, Some(&map));
                 assert!(expected.len() < full.pairs.len(), "no ghost-keyed pairs");
                 assert_eq!(got, expected, "hot_path={hot_path:?} unicomp={unicomp}");
             }
