@@ -4,11 +4,12 @@
 //! TITAN X devices over surrogates of the paper's 2M-point workloads
 //! (uniform Syn-2D, the SDSS galaxy surrogate, and 4-D/6-D uniform tiers
 //! at reduced counts) and reports, per device count: the shard count the
-//! modeled-response chooser picked, the ghost fraction and ghost upload
-//! bytes of the kd partition it executed, the modeled response time and
+//! engine executed (one kd shard per device), the ghost fraction and
+//! ghost upload bytes of that partition, the modeled response time and
 //! the speedup over one device. A plain single-device `GpuSelfJoin` row
 //! anchors the comparison; a per-phase prelude/stream breakdown table
-//! (calibrate / partition / upload / kernel / merge, in seconds) and a
+//! (sample / calibrate / cuts / partition / upload / kernel / merge, in
+//! seconds) and a
 //! per-shard table at the widest count accompany each workload. This
 //! figure's JSON export is always written (the checked-in
 //! `bench_results/scaling_devices.json` is regenerated by re-running the
@@ -29,16 +30,17 @@
 //! * ≥ 6× at 16 devices on the syn-2M surrogate (full runs; `--quick`
 //!   smoke runs only check monotonicity and correctness);
 //! * the parallel prelude (fused sample pass + calibration overlapped
-//!   with speculative cut builds + materialize fanned across lanes) at
+//!   with the cut build + materialize fanned across lanes) at
 //!   16 devices is cheaper than the 1-device serial prelude on syn-2M —
 //!   the tentpole bar for the prelude parallelization;
 //! * kd ghost fraction ≤ 25% of owned points at 8 devices on syn-2M —
 //!   the figure that motivated replacing the 1-D slab partitioner, whose
 //!   thin slabs paid ~59% there (quick runs, which skip the 8-device
 //!   point, check ≤ 45% at 16 instead);
-//! * the shard-chooser cost audit's geometric-mean projection drift over
-//!   the whole run stays within ±50% — the recalibrated eval-cost bar
-//!   (the pre-recalibration model pegged the audit's +800% clamp).
+//! * the `shard_chooser` cost audit's geometric-mean drift of projected
+//!   over measured stream makespans across the whole run stays within
+//!   ±50% — the recalibrated eval-cost bar (the pre-recalibration model
+//!   pegged the audit's +800% clamp).
 //!
 //! Note on measurement: `--trials` is floored at 5 here (unlike the
 //! other figure binaries) and each trial is a *round* running every
@@ -75,7 +77,7 @@ const MONOTONIC_THROUGH: usize = 16;
 /// partitioner or scheduler regression produces.
 const MONOTONIC_TOLERANCE: f64 = 0.05;
 const MONOTONIC_TOLERANCE_QUICK: f64 = 0.30;
-/// The chooser audit's acceptance band: the geometric mean of
+/// The `shard_chooser` audit's acceptance band: the geometric mean of
 /// projected/measured stream makespans over the whole run must land in
 /// [1/(1+this), 1+this]. ±50% is the recalibration target from the
 /// eval-cost re-pin; the unclamped log-ratio track makes it checkable
@@ -250,9 +252,9 @@ fn main() {
             &rows,
         );
         // Satellite figure: where the modeled response goes, per device
-        // count. Prelude phases (sample/calibrate/cuts/choose/
-        // materialize) shrink as lanes are added — calibration overlaps
-        // the speculative cut builds from 2 devices up — while upload/
+        // count. Prelude phases (sample/calibrate/cuts/materialize)
+        // shrink as lanes are added — calibration overlaps the cut build
+        // from 2 devices up — while upload/
         // kernel spread across devices and merge stays host-side. All
         // cells in seconds so the JSON export carries numbers, not
         // strings.
@@ -265,7 +267,6 @@ fn main() {
                 "sample",
                 "calibrate",
                 "cuts",
-                "choose",
                 "partition",
                 "prelude",
                 "upload",
@@ -307,6 +308,11 @@ fn main() {
         100.0 * ghost_frac_syn,
         100.0 * ghost_bar
     );
+    // Printed before any bar is asserted, so a failing run still reports
+    // the audit.
+    let audit = sj_obs::audit::report("shard_chooser")
+        .expect("shard_chooser audit must have samples after a scaling run");
+    println!("\n{}", audit.summary());
     if !args.quick {
         assert!(
             speedup16_syn >= 6.0,
@@ -326,23 +332,14 @@ fn main() {
         100.0 * ghost_bar
     );
     // Calibration audit: the shard engine records every projected LPT
-    // makespan against the measured busiest-stream makespan, plus the
-    // chooser's projected partition-build cost against the measured
-    // build. The geometric-mean drift (unclamped log-ratio track) is the
-    // asserted quantity: the recalibrated eval-cost model must hold the
-    // chooser's projections within ±50% across the whole run.
-    for model in ["shard_chooser", "shard_partition"] {
-        match sj_obs::audit::report(model) {
-            Some(report) => println!("\n{}", report.summary()),
-            None => println!("\ncost audit [{model}]: no samples recorded"),
-        }
-    }
-    let chooser = sj_obs::audit::report("shard_chooser")
-        .expect("chooser audit must have samples after a scaling run");
-    let geo = chooser.geo_mean_ratio();
+    // makespan against the measured busiest-stream makespan. The
+    // geometric-mean drift (unclamped log-ratio track) is the asserted
+    // quantity: the recalibrated eval-cost model must hold the
+    // projections within ±50% across the whole run.
+    let geo = audit.geo_mean_ratio();
     assert!(
         (1.0 / (1.0 + AUDIT_REL_BOUND)..=1.0 + AUDIT_REL_BOUND).contains(&geo),
-        "shard-chooser projections drifted: geometric mean projected/measured = {geo:.3} \
+        "shard makespan projections drifted: geometric mean projected/measured = {geo:.3} \
          (need within ±{:.0}%; the pre-recalibration eval-cost model sat at the +800% clamp)",
         100.0 * AUDIT_REL_BOUND
     );
@@ -363,7 +360,6 @@ fn phase_row(devices: usize, r: &sj_shard::ShardedReport) -> Vec<String> {
         secs(r.sample_time),
         secs(r.calibrate_time),
         secs(r.cut_time),
-        secs(r.choose_time),
         secs(r.partition_time),
         secs(r.prelude_time),
         secs(upload),

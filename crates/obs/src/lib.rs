@@ -18,7 +18,7 @@
 //!   Streaming replacements for sort-the-sample statistics; snapshots
 //!   merge associatively.
 //! * [`audit`] — cost-model calibration audits: every projected cost
-//!   (admission's `projected_cost`, the shard chooser's
+//!   (admission's `projected_cost`, the shard scheduler's
 //!   `modeled_makespan`) paired with its measured outcome and exported
 //!   as a calibration-error histogram, so EWMA drift is visible instead
 //!   of silent.

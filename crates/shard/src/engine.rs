@@ -6,8 +6,7 @@
 //! estimate, an emit-time ownership window, remapped post stage — and the
 //! rest of the pipeline is scheduling and merging:
 //!
-//! fused sample pass → calibration ∥ speculative cut-tree builds →
-//! choose shard count (modeled-response argmin) → materialize the chosen
+//! fused sample pass → calibration ∥ cut-tree build → materialize the
 //! partition → LPT scheduling → one executor task per device (rayon)
 //! running its queue of subplans (shard grid build + join) through
 //! [`grid_join::plan::execute`] → one grouping of the concatenated pairs
@@ -19,38 +18,32 @@
 //! it now shrinks as devices are added. One streaming
 //! [`crate::partition::sample_pass`] feeds *both* the kd recursion and
 //! the cost calibration ([`crate::cost::calibrate_from_sample`]) — the
-//! dataset is read once, chunked one lane per device. The candidate cut
-//! trees are then built speculatively while calibration runs: with ≥ 2
-//! devices the prelude charges `max(calibration, cut builds)` — the
-//! calibration occupies one host lane and the recursion fans its
-//! independent subtrees over the remaining `devices − 1`
-//! ([`crate::partition::build_cuts`]) — instead of their sum. Only the
-//! chosen tree is materialized against the full dataset.
+//! dataset is read once, chunked one lane per device. The cut tree is
+//! then built while calibration runs: with ≥ 2 devices the prelude
+//! charges `max(calibration, cut build)` — the calibration occupies one
+//! host lane and the recursion fans its independent subtrees over the
+//! remaining `devices − 1` ([`crate::partition::build_cuts`]) — instead
+//! of their sum. The tree is then materialized against the full dataset.
 //!
-//! ## Shard-count choice
+//! ## Shard count
 //!
-//! More shards mean more devices busy but also more ε-halo replication
-//! (every ghost point is uploaded, indexed and scanned twice) *and* a
-//! more expensive partition to build. The engine prices the whole
-//! trade-off instead of guessing: the calibration sample is partitioned
-//! at every candidate count (1, the powers of two up to `devices ×
-//! shards_per_device`, and the device count itself), each candidate's
-//! shards are cost-projected ghost-inclusive
-//! ([`crate::cost::project_scaled`]) and LPT-scheduled, and the modeled
-//! device makespan is summed with the candidate's measured cut-tree
-//! build, its modeled materialize cost
-//! ([`crate::cost::modeled_partition_cost`]) and the calibration cost.
-//! The candidate with the smallest modeled *response* wins, exact ties
-//! breaking toward fewer shards
-//! ([`crate::schedule::argmin_shard_count`]) — so 8 devices are only
-//! *used* when the ghost-plus-build tax is worth it. An explicit
-//! [`ShardedConfig::num_shards`] bypasses the chooser.
+//! The engine cuts **one kd shard per pool device** — fewer only when
+//! the data cannot be split (every sample point in one ε-cell). The
+//! partition therefore depends on the input alone: the same dataset, ε
+//! and pool give the same cut dimensions and the same shards whatever
+//! ran earlier in the process. [`ShardedSelfJoin::plan`] returns exactly
+//! the partition [`ShardedSelfJoin::run`] executes. An explicit
+//! [`ShardedConfig::num_shards`] (see [`ShardedSelfJoin::with_shards`])
+//! over-decomposes instead, and LPT then balances the extra shards.
 //!
-//! The chooser's absolute projections are kept honest by a closed loop:
-//! every run feeds its (projected, measured) stream-makespan pair to the
-//! cost-model audit and to [`crate::cost::eval_correction`], which
-//! multiplies subsequent calibrations' `eval_cost` so the projection
-//! error stays inside the audited band instead of re-diverging.
+//! The calibrated cost model prices the executed shards for LPT and
+//! seeds each subplan's result-size estimate. Its absolute projections
+//! are kept honest by a closed loop: every run feeds its (projected,
+//! measured) stream-makespan pair to the `shard_chooser` cost-model
+//! audit, and per-component pairs to [`crate::cost::eval_correction`]
+//! and [`crate::cost::grid_correction`], which scale subsequent
+//! calibrations so the projection error stays inside the audited band.
+//! The corrections change projected costs only, never the partition.
 //!
 //! ## Ownership
 //!
@@ -81,27 +74,18 @@
 //! completion, just as a real multi-GPU driver would observe.
 
 use crate::cost::{
-    calibrate_from_sample, eval_correction, grid_correction, modeled_partition_cost,
-    project_partition, project_scaled, CostModel, ShardCost,
+    calibrate_from_sample, eval_correction, grid_correction, project_partition, ShardCost,
 };
-use crate::partition::{
-    build_cuts, materialize, partition, partition_par, CutTree, Partition, SamplePass,
-};
-use crate::schedule::{argmin_shard_count, lpt_schedule, modeled_makespan, Assignment};
+use crate::partition::{build_cuts, materialize, partition_par, Partition};
+use crate::schedule::{lpt_schedule, modeled_makespan, Assignment};
 use grid_join::plan::{execute, Backend, JoinPlan};
 use grid_join::{GridIndex, HotPath, NeighborTable, Pair, SelfJoinConfig, SelfJoinError};
 use parking_lot::Mutex;
 use rayon::prelude::*;
 use sim_gpu::{DevicePool, DeviceTally, PoolProfiler};
 use sj_datasets::Dataset;
-use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
-
-/// Chooser verdict: the winning shard count, its projected partition
-/// build cost (for the `shard_partition` audit), and the full
-/// `(candidate, modeled response)` table for the report.
-type ChosenShards = (usize, Duration, Vec<(usize, Duration)>);
 
 /// Upper bound on re-execution rounds after device faults: each round
 /// re-runs every still-failed shard on the least-loaded surviving device,
@@ -112,29 +96,14 @@ fn max_reexec_rounds(ndev: usize) -> usize {
 }
 
 /// Configuration of the sharded engine.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, Default)]
 pub struct ShardedConfig {
-    /// Upper bound on shards per device for the shard-count chooser
-    /// (default 2): candidates range over 1 ..= devices × this. Over-
-    /// decomposition gives the cost-based scheduler freedom to balance
-    /// skew at the price of more halo replication — the chooser decides
-    /// whether that price pays.
-    pub shards_per_device: usize,
-    /// Explicit total shard count (disables the chooser).
+    /// Explicit total shard count; `None` (the default) cuts one shard
+    /// per pool device.
     pub num_shards: Option<usize>,
     /// Per-shard join configuration (UNICOMP on by default, as in the
     /// paper's best configuration).
     pub join: SelfJoinConfig,
-}
-
-impl Default for ShardedConfig {
-    fn default() -> Self {
-        Self {
-            shards_per_device: 2,
-            num_shards: None,
-            join: SelfJoinConfig::default(),
-        }
-    }
 }
 
 /// Execution record of one shard.
@@ -181,12 +150,6 @@ pub struct ShardedReport {
     pub devices: Vec<DeviceTally>,
     /// Predicted per-device load the scheduler balanced.
     pub predicted_load: Vec<u64>,
-    /// `(shard count, modeled response objective)` for every candidate
-    /// the chooser priced (empty when `num_shards` was explicit). The
-    /// objective is the candidate's LPT device makespan plus its
-    /// partition build cost (measured cut tree + modeled materialize)
-    /// plus the calibration cost — see the module docs.
-    pub candidate_makespans: Vec<(usize, Duration)>,
     /// Total halo ghost points (replication overhead).
     pub ghost_points: usize,
     /// Modeled time of the fused bounds/sample streaming pass (slowest
@@ -196,20 +159,18 @@ pub struct ShardedReport {
     /// Wall time of the cost-model calibration, *excluding* the shared
     /// sample pass.
     pub calibrate_time: Duration,
-    /// Modeled time of the speculative candidate cut-tree builds
-    /// (lane-budgeted critical path, summed over candidates) that run
-    /// overlapped with calibration when ≥ 2 devices are present.
+    /// Modeled time of the cut-tree build (lane-budgeted critical path),
+    /// which runs overlapped with calibration when ≥ 2 devices are
+    /// present.
     pub cut_time: Duration,
-    /// Wall time of the shard-count chooser's pricing loop.
-    pub choose_time: Duration,
-    /// Modeled time of the chosen partition's build: the sample pass,
-    /// its cut tree and the chunked materialize passes, one lane per
-    /// device (see `sj_shard::partition`).
+    /// Modeled time of the partition's build: the sample pass, the cut
+    /// tree and the chunked materialize passes, one lane per device (see
+    /// `sj_shard::partition`).
     pub partition_time: Duration,
     /// Modeled end-to-end prelude ahead of the device streams: sample
-    /// pass + (calibration overlapped with the cut builds) + chooser +
-    /// materialize. This is what `modeled_total` charges before the
-    /// busiest stream; it *shrinks* as devices are added.
+    /// pass + (calibration overlapped with the cut build) + materialize.
+    /// This is what `modeled_total` charges before the busiest stream;
+    /// it *shrinks* as devices are added.
     pub prelude_time: Duration,
     /// The scheduler's projected busiest-stream makespan for the
     /// executed partition (what the cost-model audit compares against
@@ -299,7 +260,7 @@ impl ShardedSelfJoin {
         self
     }
 
-    /// Fixes the total shard count (disables the makespan chooser).
+    /// Fixes the total shard count (default: one shard per device).
     pub fn with_shards(mut self, num_shards: usize) -> Self {
         self.config.num_shards = Some(num_shards);
         self
@@ -327,61 +288,6 @@ impl ShardedSelfJoin {
     /// The active configuration.
     pub fn config(&self) -> &ShardedConfig {
         &self.config
-    }
-
-    /// Shard-count candidates: 1, the powers of two up to the cap, plus
-    /// the device count and the cap themselves.
-    fn shard_candidates(&self, ndev: usize) -> BTreeSet<usize> {
-        let cap = (ndev * self.config.shards_per_device).max(1);
-        let mut c: BTreeSet<usize> = [1, ndev.min(cap), cap].into();
-        let mut k = 2;
-        while k <= cap {
-            c.insert(k);
-            k *= 2;
-        }
-        c
-    }
-
-    /// Prices every candidate shard count on the calibration sample —
-    /// modeled device makespan *plus* the cost of making the partition
-    /// (the candidate's measured speculative cut-tree build, its modeled
-    /// materialize passes, and the calibration) — and returns the
-    /// modeled-response argmin (exact ties break toward fewer shards via
-    /// [`argmin_shard_count`]), the winner's projected partition build
-    /// cost (for the `shard_partition` audit) and the full candidate
-    /// table for the report.
-    fn choose_shard_count(
-        &self,
-        model: &CostModel,
-        sp: &SamplePass,
-        trees: &[(usize, CutTree)],
-        ndev: usize,
-    ) -> Result<ChosenShards, SelfJoinError> {
-        let spec = self.pool.device(0).spec();
-        let unicomp = self.config.join.unicomp;
-        let scale = model.len as f64 / model.sample_data.len().max(1) as f64;
-        let mut table = Vec::new();
-        let mut build_costs = Vec::new();
-        for (k, tree) in trees {
-            let k = *k;
-            let sample_part = partition(&model.sample_data, model.epsilon, k)?;
-            let costs = project_scaled(model, &sample_part, scale, spec, unicomp);
-            let assign = lpt_schedule(&costs.iter().map(ShardCost::cost).collect::<Vec<_>>(), ndev);
-            let stages: Vec<(Duration, Duration)> =
-                costs.iter().map(|c| (c.grid_time, c.device_time)).collect();
-            let mk = modeled_makespan(&assign, &stages);
-            let ghosts_scaled: f64 = costs.iter().map(|c| c.ghosts as f64).sum();
-            let build = modeled_partition_cost(sp, tree.build_time, k, ndev, ghosts_scaled);
-            table.push((k, mk + build + model.build_time));
-            build_costs.push((k, build));
-        }
-        let chosen = argmin_shard_count(&table).unwrap_or(1);
-        let chosen_build = build_costs
-            .iter()
-            .find(|&&(k, _)| k == chosen)
-            .map(|&(_, b)| b)
-            .unwrap_or(Duration::ZERO);
-        Ok((chosen, chosen_build, table))
     }
 
     /// Runs the sharded self-join: all ordered pairs `(p, q)`, `p ≠ q`,
@@ -413,75 +319,43 @@ impl ShardedSelfJoin {
         let sample_time = sp.wall;
 
         // Stage 2, overlapped: the ghost-aware cost model calibrates
-        // from the shared sample while the candidate cut trees build
-        // speculatively on the remaining host lanes. Sequentially
-        // executed (simulated lanes, like every host-parallel pass
-        // here); with ≥ 2 devices the prelude charges the slower of the
-        // two sides instead of their sum.
+        // from the shared sample while the cut tree builds on the
+        // remaining host lanes. Sequentially executed (simulated lanes,
+        // like every host-parallel pass here); with ≥ 2 devices the
+        // prelude charges the slower of the two sides instead of their
+        // sum.
         let model = {
             let _cspan = sj_obs::Span::enter("shard.calibrate");
             calibrate_from_sample(&sp, epsilon, spec)?
         };
         let calibrate_time = model.build_time;
 
-        let candidate_counts: Vec<usize> = match self.config.num_shards {
-            Some(k) => vec![k.max(1)],
-            None => self.shard_candidates(ndev).into_iter().collect(),
-        };
-        let cut_lanes = ndev.saturating_sub(1).max(1);
-        let trees: Vec<(usize, CutTree)> = {
+        let num_shards = self.num_shards();
+        let tree = {
             let mut tspan = sj_obs::Span::enter("shard.cuts");
-            tspan.label("candidates", candidate_counts.len());
-            candidate_counts
-                .iter()
-                .map(|&k| Ok((k, build_cuts(&sp, epsilon, k, cut_lanes)?)))
-                .collect::<Result<_, SelfJoinError>>()?
+            tspan.label("shards", num_shards);
+            build_cuts(&sp, epsilon, num_shards, ndev.saturating_sub(1).max(1))?
         };
-        let cut_time: Duration = trees.iter().map(|(_, t)| t.build_time).sum();
+        let cut_time = tree.build_time;
         let overlap_time = if ndev >= 2 {
             calibrate_time.max(cut_time)
         } else {
             calibrate_time + cut_time
         };
 
-        let tc = Instant::now();
-        let mut chspan = sj_obs::Span::enter("shard.choose");
-        let (num_shards, projected_build, candidate_makespans) = match self.config.num_shards {
-            Some(k) => (k.max(1), Duration::ZERO, Vec::new()),
-            None => self.choose_shard_count(&model, &sp, &trees, ndev)?,
-        };
-        chspan.label("chosen", num_shards);
-        chspan.label("candidates", candidate_makespans.len());
-        drop(chspan);
-        let choose_time = tc.elapsed();
-
-        // Stage 3: materialize only the winning tree against the full
-        // dataset — the chunked passes are charged at their per-lane
-        // makespan, one lane per device, matching the engine's
-        // per-device stream convention.
-        let chosen_tree = trees
-            .into_iter()
-            .find(|(k, _)| *k == num_shards)
-            .map(|(_, t)| t)
-            .expect("the chosen count came from the candidate list");
-        let mut part = materialize(data, &chosen_tree, ndev)?;
+        // Stage 3: materialize the tree against the full dataset — the
+        // chunked passes are charged at their per-lane makespan, one
+        // lane per device, matching the engine's per-device stream
+        // convention.
+        let mut part = materialize(data, &tree, ndev)?;
         let materialize_time = part.build_time;
         // `Partition::build_time` keeps its historical meaning (the
         // whole partition build) for `partition_time` and downstream
         // consumers; the prelude accounting charges the shared sample
         // pass only once.
-        part.build_time += sample_time + chosen_tree.build_time;
+        part.build_time += sample_time + cut_time;
         let part = part;
-        if self.config.num_shards.is_none() {
-            // Closed loop on the partition-cost model: the chooser's
-            // projected build cost vs what building the winner took.
-            sj_obs::audit::record(
-                "shard_partition",
-                projected_build.as_secs_f64(),
-                (chosen_tree.build_time + materialize_time).as_secs_f64(),
-            );
-        }
-        let prelude_time = sample_time + overlap_time + choose_time + materialize_time;
+        let prelude_time = sample_time + overlap_time + materialize_time;
         let costs = project_partition(&model, &part, spec, self.config.join.unicomp);
 
         let assignment: Assignment = {
@@ -729,10 +603,10 @@ impl ShardedSelfJoin {
         let devices = profiler.snapshot();
         // Response-time convention matches the single-device
         // `JoinReport::modeled_total` (grid build + estimate + pipelined
-        // device timeline): the serial prelude (calibration, chooser,
-        // partition) plus the busiest device *stream* — per stream, grid
-        // builds (host) pipeline with modeled device work exactly as the
-        // chooser priced them. Host-side table construction is excluded
+        // device timeline): the prelude (sample pass, calibration, cut
+        // tree, materialize) plus the busiest device *stream* — per
+        // stream, grid builds (host) pipeline with modeled device work
+        // exactly as `modeled_makespan` prices them. Host-side table construction is excluded
         // there and the host-side merge is excluded here (reported as
         // `merge_time`).
         let stream_makespan = streams.iter().copied().max().unwrap_or(Duration::ZERO);
@@ -799,12 +673,10 @@ impl ShardedSelfJoin {
                 shards,
                 devices,
                 predicted_load: assignment.predicted_load,
-                candidate_makespans,
                 ghost_points: part.ghost_points(),
                 sample_time,
                 calibrate_time,
                 cut_time,
-                choose_time,
                 partition_time: part.build_time,
                 prelude_time,
                 projected_stream: projected_makespan,
@@ -840,15 +712,20 @@ impl ShardedSelfJoin {
     }
 
     /// Partitions without executing — exposed for inspection and tests.
-    /// Uses the explicit shard count if set, else the chooser's cap
-    /// (`devices × shards_per_device`) as an upper bound.
+    /// Returns exactly the partition [`Self::run`] executes: the explicit
+    /// shard count if set, else one shard per device.
     pub fn plan(&self, data: &Dataset, epsilon: f64) -> Result<Partition, SelfJoinError> {
-        let num_shards = self
-            .config
-            .num_shards
-            .unwrap_or(self.pool.len() * self.config.shards_per_device)
-            .max(1);
-        Ok(partition_par(data, epsilon, num_shards, self.pool.len())?)
+        Ok(partition_par(
+            data,
+            epsilon,
+            self.num_shards(),
+            self.pool.len(),
+        )?)
+    }
+
+    /// The shard count to cut: the explicit one, else one per device.
+    fn num_shards(&self) -> usize {
+        self.config.num_shards.unwrap_or(self.pool.len()).max(1)
     }
 }
 
@@ -930,41 +807,6 @@ mod tests {
     }
 
     #[test]
-    fn chooser_records_candidates_and_picks_min_makespan() {
-        let data = uniform(2, 3000, 41);
-        let out = ShardedSelfJoin::titan_x(4).run(&data, 2.0).unwrap();
-        let cands = &out.report.candidate_makespans;
-        assert!(!cands.is_empty(), "default config must run the chooser");
-        assert!(cands.iter().any(|&(k, _)| k == 1));
-        assert!(cands.iter().any(|&(k, _)| k == 8), "cap = 4 × 2 missing");
-        let best = cands.iter().map(|&(_, m)| m).min().unwrap();
-        let chosen = cands
-            .iter()
-            .find(|&&(k, _)| k == out.report.shards.len())
-            .map(|&(_, m)| m);
-        // The executed shard count may be below the chosen k only if the
-        // partitioner degraded (narrow data) — not on uniform 2-D data.
-        assert_eq!(chosen, Some(best), "did not execute the argmin: {cands:?}");
-    }
-
-    #[test]
-    fn single_device_choice_beats_or_matches_no_sharding() {
-        // On one device extra shards buy no device parallelism — only
-        // grid-build/device overlap can justify them. Whatever the
-        // chooser picks, its modeled makespan must not exceed the k = 1
-        // candidate's (the degenerate "don't shard" option is always on
-        // the table).
-        let data = uniform(2, 3000, 42);
-        let out = ShardedSelfJoin::titan_x(1).run(&data, 2.0).unwrap();
-        let cands = &out.report.candidate_makespans;
-        let k1 = cands.iter().find(|&&(k, _)| k == 1).map(|&(_, m)| m);
-        let best = cands.iter().map(|&(_, m)| m).min();
-        assert!(best <= k1, "chooser worse than not sharding: {cands:?}");
-        let single = GpuSelfJoin::default_device().run(&data, 2.0).unwrap();
-        assert_eq!(out.table, single.table);
-    }
-
-    #[test]
     fn explicit_shard_count_is_honored() {
         let data = uniform(2, 2000, 35);
         let out = ShardedSelfJoin::titan_x(2)
@@ -972,7 +814,6 @@ mod tests {
             .run(&data, 2.0)
             .unwrap();
         assert!(out.report.shards.len() <= 3);
-        assert!(out.report.candidate_makespans.is_empty());
         let single = GpuSelfJoin::default_device().run(&data, 2.0).unwrap();
         assert_eq!(out.table, single.table);
     }
@@ -1058,11 +899,10 @@ mod tests {
         let out = ShardedSelfJoin::titan_x(4).run(&data, 2.0).unwrap();
         let r = &out.report;
         // The prelude charges the shared sample pass once and overlaps
-        // calibration with the speculative cut builds; it can never
-        // exceed the fully serial sum of its parts.
+        // calibration with the cut build; it can never exceed the fully
+        // serial sum of its parts.
         assert!(r.prelude_time >= r.sample_time);
-        let serial_sum =
-            r.sample_time + r.calibrate_time + r.cut_time + r.choose_time + r.partition_time;
+        let serial_sum = r.sample_time + r.calibrate_time + r.cut_time + r.partition_time;
         assert!(
             r.prelude_time <= serial_sum,
             "prelude {:?} exceeds serial sum {:?}",

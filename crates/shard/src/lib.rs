@@ -16,14 +16,12 @@
 //! * [`cost`] — a ghost-aware cost model calibrated by one cheap host
 //!   pass ([`calibrate`]): per-shard work is projected from sampled
 //!   neighbourhood densities *including* the ghost-band join work and the
-//!   ghost upload bytes, so the scheduler — and the shard-count chooser —
-//!   see *cost*, not point count.
+//!   ghost upload bytes, so the scheduler sees *cost*, not point count.
 //! * [`schedule`] — longest-processing-time assignment of shards to
 //!   devices by projected cost, and [`modeled_makespan`], the busiest-
-//!   device bound the engine minimizes when choosing how many shards to
-//!   cut at all.
-//! * [`engine`] — [`ShardedSelfJoin`]: prices candidate shard counts on
-//!   the calibration sample, partitions at the modeled-makespan argmin,
+//!   device bound the cost-model audit checks against the measured run.
+//! * [`engine`] — [`ShardedSelfJoin`]: cuts one kd shard per device (or
+//!   an explicit count), so the partition depends only on the input,
 //!   then runs one executor task per device. Ownership is an emit-time
 //!   window in the kernels over each shard's owned-prefix ids, so
 //!   ghost-keyed pairs are never materialized and the merge is one
@@ -78,10 +76,10 @@ pub mod schedule;
 
 pub use cost::{
     calibrate, calibrate_from_sample, eval_correction, grid_correction, project_partition,
-    project_scaled, CostModel, EvalCorrection, ShardCost,
+    CostModel, EvalCorrection, ShardCost,
 };
 pub use engine::{ShardRunReport, ShardedConfig, ShardedOutput, ShardedReport, ShardedSelfJoin};
 pub use partition::{
     build_cuts, materialize, partition, sample_pass, CutTree, Partition, SamplePass, Shard,
 };
-pub use schedule::{argmin_shard_count, lpt_schedule, modeled_makespan, Assignment};
+pub use schedule::{lpt_schedule, modeled_makespan, Assignment};

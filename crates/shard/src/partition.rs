@@ -171,10 +171,6 @@ pub struct SamplePass {
     pub cols: Vec<Vec<f64>>,
     /// Modeled pass time: the slowest of the per-lane chunk walls.
     pub wall: Duration,
-    /// Measured streaming cost per point of the slowest lane — the
-    /// engine's unit price for modeling the materialize passes when it
-    /// folds partition cost into the shard-count objective.
-    pub per_point: Duration,
 }
 
 impl SamplePass {
@@ -209,7 +205,6 @@ pub fn sample_pass(data: &Dataset, lanes: usize) -> Result<SamplePass, GridBuild
             ids: Vec::new(),
             cols: vec![Vec::new(); dim],
             wall: Duration::ZERO,
-            per_point: Duration::ZERO,
         });
     }
     let mut span = sj_obs::Span::enter("shard.sample_pass");
@@ -223,7 +218,6 @@ pub fn sample_pass(data: &Dataset, lanes: usize) -> Result<SamplePass, GridBuild
     let mut ids: Vec<u32> = Vec::with_capacity(n.div_ceil(sstride));
     let mut cols: Vec<Vec<f64>> = vec![Vec::with_capacity(n.div_ceil(sstride)); dim];
     let mut slowest = Duration::ZERO;
-    let mut per_point = Duration::ZERO;
     for lane in 0..lanes {
         let (start, end) = (lane * csize, ((lane + 1) * csize).min(n));
         let tl = Instant::now();
@@ -244,11 +238,7 @@ pub fn sample_pass(data: &Dataset, lanes: usize) -> Result<SamplePass, GridBuild
                 }
             }
         }
-        let w = tl.elapsed();
-        if w > slowest {
-            slowest = w;
-            per_point = w.div_f64((end - start).max(1) as f64);
-        }
+        slowest = slowest.max(tl.elapsed());
     }
     span.label("sample", ids.len());
     Ok(SamplePass {
@@ -260,7 +250,6 @@ pub fn sample_pass(data: &Dataset, lanes: usize) -> Result<SamplePass, GridBuild
         ids,
         cols,
         wall: slowest,
-        per_point,
     })
 }
 

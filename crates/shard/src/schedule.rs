@@ -2,9 +2,10 @@
 //!
 //! Longest-processing-time (LPT) greedy: shards are placed heaviest-first
 //! onto the currently least-loaded device. LPT's makespan is within 4/3
-//! of optimal, which is ample here — prediction error dominates. The
-//! partitioner over-decomposes (more shards than devices) precisely so
-//! this stage has freedom to balance skewed costs.
+//! of optimal, which is ample here — prediction error dominates. With
+//! the engine's default of one shard per device every device gets one
+//! shard; an explicit over-decomposition (more shards than devices)
+//! gives this stage freedom to balance skewed costs.
 
 /// The result of scheduling shards onto a device pool.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -57,8 +58,8 @@ pub fn lpt_schedule(costs: &[u64], devices: usize) -> Assignment {
     }
 }
 
-/// Modeled completion time of an assignment — the quantity the
-/// shard-count chooser minimizes. `stages[s]` is shard `s`'s
+/// Modeled completion time of an assignment — the engine's projected
+/// stream makespan, audited against the measured one. `stages[s]` is shard `s`'s
 /// `(host, device)` stage pair: the host stage (grid build, done by the
 /// executor task's thread) and the modeled device stage (upload + join).
 /// Within a queue the two resources pipeline, exactly like the batching
@@ -71,8 +72,7 @@ pub fn lpt_schedule(costs: &[u64], devices: usize) -> Assignment {
 ///
 /// Queues run concurrently across devices; the busiest queue bounds the
 /// whole. Over-decomposing (more shards than devices) therefore *hides*
-/// grid-build time behind device work — one of the reasons the chooser
-/// often prefers it.
+/// grid-build time behind device work.
 pub fn modeled_makespan(
     assign: &Assignment,
     stages: &[(std::time::Duration, std::time::Duration)],
@@ -93,19 +93,6 @@ pub fn modeled_makespan(
         })
         .max()
         .unwrap_or(Duration::ZERO)
-}
-
-/// Picks the winning shard count from the chooser's candidate table
-/// (`(shard_count, modeled objective)` pairs): the minimum objective,
-/// with exact ties broken toward the **smaller** shard count — fewer
-/// shards mean less ghost surface and a smaller partition to build, so
-/// when the model can't tell candidates apart the cheaper-to-make one
-/// wins. Deterministic for any input order; `None` on an empty table.
-pub fn argmin_shard_count(candidates: &[(usize, std::time::Duration)]) -> Option<usize> {
-    candidates
-        .iter()
-        .min_by(|a, b| a.1.cmp(&b.1).then(a.0.cmp(&b.0)))
-        .map(|&(k, _)| k)
 }
 
 #[cfg(test)]
@@ -202,27 +189,5 @@ mod tests {
     #[should_panic(expected = "at least one device")]
     fn zero_devices_rejected() {
         let _ = lpt_schedule(&[1], 0);
-    }
-
-    #[test]
-    fn argmin_prefers_smaller_count_on_ties() {
-        use std::time::Duration;
-        let ms = Duration::from_millis;
-        // Strict minimum wins regardless of position…
-        assert_eq!(
-            argmin_shard_count(&[(1, ms(9)), (4, ms(7)), (8, ms(8))]),
-            Some(4)
-        );
-        // …and an exact tie goes to the smaller shard count, whatever
-        // the table order.
-        assert_eq!(
-            argmin_shard_count(&[(8, ms(7)), (2, ms(7)), (4, ms(9))]),
-            Some(2)
-        );
-        assert_eq!(
-            argmin_shard_count(&[(2, ms(7)), (8, ms(7)), (4, ms(9))]),
-            Some(2)
-        );
-        assert_eq!(argmin_shard_count(&[]), None);
     }
 }

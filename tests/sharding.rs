@@ -283,6 +283,61 @@ fn sharded_matches_on_table_one_surrogates() {
     }
 }
 
+/// Per-shard `(owned, ghosts)` in shard order — the executed layout.
+fn shard_layout(report: &gpu_self_join::shard::ShardedReport) -> Vec<(usize, usize)> {
+    report.shards.iter().map(|s| (s.owned, s.ghosts)).collect()
+}
+
+/// The default plan depends on the input alone: one kd shard per device
+/// (fewer only if the data cannot be cut), the same cut dimensions and
+/// per-shard layout on a repeat run — even after a run in another
+/// dimensionality has moved the process-global cost corrections — and
+/// `plan()` returns the partition `run` executed.
+#[test]
+fn default_run_cuts_one_shard_per_device_deterministically() {
+    let mut narrow = Dataset::new(2);
+    for i in 0..200 {
+        narrow.push(&[5.0 + i as f64 * 1e-4, 5.0 - i as f64 * 1e-4]);
+    }
+    let cases = [
+        (uniform(2, 3000, 61), 2.0, true),
+        (uniform(4, 2000, 62), 12.0, true),
+        // Every point in one ε-cell: no cut exists, one shard runs.
+        (narrow, 10.0, false),
+    ];
+    let interleaved = uniform(6, 1500, 63);
+    for (data, eps, cuttable) in &cases {
+        for devices in [1, 2, 4] {
+            let engine = ShardedSelfJoin::titan_x(devices);
+            let first = engine.run(data, *eps).unwrap();
+            let want = if *cuttable { devices } else { 1 };
+            assert_eq!(
+                first.report.shards.len(),
+                want,
+                "{}-D x{devices}",
+                data.dim()
+            );
+            let used: Vec<usize> = first.report.devices.iter().map(|t| t.items).collect();
+            assert!(
+                used.iter().all(|&n| n <= 1),
+                "one shard per device: {used:?}"
+            );
+
+            ShardedSelfJoin::titan_x(4).run(&interleaved, 30.0).unwrap();
+            let again = engine.run(data, *eps).unwrap();
+            assert_eq!(again.report.cut_dims, first.report.cut_dims);
+            assert_eq!(shard_layout(&again.report), shard_layout(&first.report));
+            assert_eq!(again.table, first.table);
+
+            let plan = engine.plan(data, *eps).unwrap();
+            assert_eq!(plan.cut_dims, first.report.cut_dims);
+            let planned: Vec<(usize, usize)> =
+                plan.shards.iter().map(|s| (s.owned, s.ghosts())).collect();
+            assert_eq!(planned, shard_layout(&first.report));
+        }
+    }
+}
+
 #[test]
 fn cost_scheduler_balances_skewed_clusters() {
     // Two dense clusters and a sparse background: equal-count shards have
